@@ -15,8 +15,8 @@
 # the overload/chaos benchmark (open-loop saturation with admission control
 # on vs off, plus transient- and permanent-fault chaos arms on an injected
 # log device), and BENCH_commit.json for the commit-pipeline benchmark
-# (latched vs consolidated WAL appends, with and without early lock release,
-# gated on invariants, crash-recovery equivalence, and shorter lock holds).
+# (locks held to durability vs early lock release, gated on invariants,
+# crash-recovery equivalence, and shorter lock holds under ELR).
 #
 # Usage: ./bench.sh [tm1.json] [tpcc.json] [skew.json] [durability.json] [htap.json] [crash.json] [overload.json] [commit.json]
 #   BENCHTIME=2s ./bench.sh        # longer measurement interval
@@ -116,11 +116,10 @@ go run ./cmd/dorabench -fig overload -overload-json "$out_overload" \
   ${OVERLOAD_FLAGS:-}
 echo "wrote $out_overload"
 
-# Commit-pipeline benchmark: latched vs consolidated WAL appends, with and
-# without early lock release, on a file-backed SyncOnFlush log. Gates on
-# invariants, crash-recovery equivalence (every arm's log reopens and passes
-# the checker), and strictly shorter lock holds under consolidated+ELR — not
-# on throughput.
+# Commit-pipeline benchmark: locks held to durability vs early lock release,
+# on a file-backed SyncOnFlush log. Gates on invariants, crash-recovery
+# equivalence (every arm's log reopens and passes the checker), and strictly
+# shorter lock holds under ELR — not on throughput.
 # shellcheck disable=SC2086
 go run ./cmd/dorabench -fig commit -commit-json "$out_commit" ${COMMIT_FLAGS:-}
 echo "wrote $out_commit"

@@ -18,42 +18,34 @@ type commitRow struct {
 	MeanUs          float64 `json:"mean_us"`
 	LockHoldMeanUs  float64 `json:"lockhold_mean_us"`
 	AppendWaitMeanU float64 `json:"appendwait_mean_us"`
-	AppendsPerGroup float64 `json:"appends_per_group"`
 	CommitsPerFlush float64 `json:"commits_per_flush"`
 	Committed       uint64  `json:"committed"`
 	Aborted         uint64  `json:"aborted"`
 }
 
-// figCommit is the scalable-commit-pipeline benchmark: the TPC-C
-// five-transaction mix under DORA on a file-backed SyncOnFlush log, across
-// three arms of the commit path —
+// figCommit is the commit-pipeline benchmark: the TPC-C five-transaction mix
+// under DORA on a file-backed SyncOnFlush log, across two arms of the commit
+// path —
 //
-//	latched            every appender takes the buffer mutex and encodes
-//	                   inside it; locks held until the commit is durable
-//	consolidated       consolidation-group appends (one latch acquisition per
-//	                   group, encode outside); locks still held to durability
-//	consolidated+elr   consolidated appends plus early lock release: local
-//	                   locks drop when the commit record gets its LSN, only
-//	                   the client ack waits for the flusher
+//	held   local locks held until the commit record is durable
+//	elr    early lock release: local locks drop when the commit record gets
+//	       its LSN, only the client ack waits for the flusher
 //
 // Every arm gates on the §3.3.2 consistency checker and on crash-recovery
 // equivalence (the log directory reopens via engine.Open and passes the same
-// checker), so neither optimization may trade correctness for speed. The
-// performance gate is on lock-hold time, the quantity the paper's argument
-// turns on: consolidated+elr must hold commit-side locks strictly shorter
-// than the latched baseline. Throughput is reported but not gated — on a
-// single-CPU host the pipeline is not the bottleneck.
+// checker), so ELR may not trade correctness for speed. The performance gate
+// is on lock-hold time, the quantity the paper's argument turns on: elr must
+// hold commit-side locks strictly shorter than held. Throughput is reported
+// but not gated — on a single-CPU host the pipeline is not the bottleneck.
 func figCommit(o options) error {
-	header("Commit pipeline — TPC-C mix: latched vs consolidated appends, with and without ELR")
-	fmt.Println("arm,tps,mean_us,lockhold_mean_us,appendwait_mean_us,appends_per_group,commits_per_flush,committed,aborted")
+	header("Commit pipeline — TPC-C mix: locks held to durability vs early lock release")
+	fmt.Println("arm,tps,mean_us,lockhold_mean_us,appendwait_mean_us,commits_per_flush,committed,aborted")
 	arms := []struct {
-		name    string
-		latched bool
-		elr     bool
+		name string
+		elr  bool
 	}{
-		{"latched", true, false},
-		{"consolidated", false, false},
-		{"consolidated+elr", false, true},
+		{"held", false},
+		{"elr", true},
 	}
 	rows := make(map[string]commitRow)
 	var ordered []commitRow
@@ -65,9 +57,8 @@ func figCommit(o options) error {
 		defer os.RemoveAll(dir)
 		d := newTPCC(o)
 		env, err := harness.SetupDurable(d, o.executors, o.seed, harness.Durability{
-			LogDir:            dir,
-			Sync:              wal.SyncOnFlush,
-			LatchedLogAppends: arm.latched,
+			LogDir: dir,
+			Sync:   wal.SyncOnFlush,
 		})
 		if err != nil {
 			return err
@@ -128,31 +119,30 @@ func figCommit(o options) error {
 			MeanUs:          float64(res.MeanLatency.Microseconds()),
 			LockHoldMeanUs:  res.LockHold.Mean(),
 			AppendWaitMeanU: res.AppendWait.Mean(),
-			AppendsPerGroup: res.AppendsPerGroup,
 			CommitsPerFlush: res.CommitsPerFlush,
 			Committed:       res.Committed,
 			Aborted:         res.Aborted,
 		}
 		rows[arm.name] = row
 		ordered = append(ordered, row)
-		fmt.Printf("%s,%.0f,%.0f,%.0f,%.1f,%.2f,%.2f,%d,%d\n",
+		fmt.Printf("%s,%.0f,%.0f,%.0f,%.1f,%.2f,%d,%d\n",
 			row.Arm, row.TPS, row.MeanUs, row.LockHoldMeanUs, row.AppendWaitMeanU,
-			row.AppendsPerGroup, row.CommitsPerFlush, row.Committed, row.Aborted)
+			row.CommitsPerFlush, row.Committed, row.Aborted)
 	}
 
 	// The performance gate: early lock release must shorten commit-side lock
-	// holds against the fully latched baseline — that is the whole point of
+	// holds against holding them to durability — that is the whole point of
 	// acking late but releasing early.
-	base, elr := rows["latched"], rows["consolidated+elr"]
+	base, elr := rows["held"], rows["elr"]
 	if base.LockHoldMeanUs <= 0 || elr.LockHoldMeanUs <= 0 {
 		return fmt.Errorf("commit: lock-hold histograms empty (base=%.1f elr=%.1f)",
 			base.LockHoldMeanUs, elr.LockHoldMeanUs)
 	}
 	if elr.LockHoldMeanUs >= base.LockHoldMeanUs {
-		return fmt.Errorf("commit: ELR did not shorten lock holds: %.1fµs vs %.1fµs latched baseline",
+		return fmt.Errorf("commit: ELR did not shorten lock holds: %.1fµs vs %.1fµs held to durability",
 			elr.LockHoldMeanUs, base.LockHoldMeanUs)
 	}
-	fmt.Printf("# lock-hold mean: %.1fµs latched -> %.1fµs consolidated+elr (%.0f%% shorter)\n",
+	fmt.Printf("# lock-hold mean: %.1fµs held -> %.1fµs elr (%.0f%% shorter)\n",
 		base.LockHoldMeanUs, elr.LockHoldMeanUs,
 		(1-elr.LockHoldMeanUs/base.LockHoldMeanUs)*100)
 

@@ -319,6 +319,57 @@ func TestAbortRollsBackAcrossExecutors(t *testing.T) {
 	}
 }
 
+func TestAbortWaitsForInFlightWork(t *testing.T) {
+	// Branch 0's action writes and then stays inside Work while its sibling
+	// on branch 99 (another executor) fails. The abort must not be reported until that execution
+	// retires and the rollback has restored the row: the client never sees
+	// "aborted" while the write is still visible.
+	sys, e := newBankSystem(t, 4)
+	loadAccounts(t, e, 4, 1, 100)
+
+	boom := errors.New("invalid input")
+	written, release := make(chan struct{}), make(chan struct{})
+	tx := sys.NewTransaction()
+	tx.Add(0, &Action{
+		Table: "accounts", Key: key(0), Mode: Exclusive,
+		Work: func(s *Scope) error {
+			err := s.Update("accounts", accountPK(0, 0), func(tu storage.Tuple) (storage.Tuple, error) {
+				tu[3] = storage.FloatValue(0)
+				return tu, nil
+			})
+			close(written)
+			<-release
+			return err
+		},
+	})
+	tx.Add(0, &Action{
+		Table: "accounts", Key: key(99), Mode: Exclusive,
+		Work: func(s *Scope) error {
+			<-written
+			return boom
+		},
+	})
+	done := tx.RunAsync()
+	for tx.State() != "aborted" {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("abort reported (%v) while a sibling action was still inside Work", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the action error", err)
+	}
+	check := e.Begin()
+	got, err := e.Probe(check, "accounts", accountPK(0, 0), engine.Conventional())
+	if err != nil || got[3].Float != 100 {
+		t.Fatalf("balance after the reported abort = %v, %v; want the rolled-back 100", got, err)
+	}
+	e.Commit(check)
+}
+
 func TestBlockedActionResumesAfterCommit(t *testing.T) {
 	sys, e := newBankSystem(t, 2)
 	loadAccounts(t, e, 2, 1, 0)

@@ -1,6 +1,7 @@
 package dora
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -598,11 +599,12 @@ func (t *Transaction) releaseAdmission() {
 // fail aborts the transaction: the first failure wins, the engine rolls back
 // the transaction's changes, and completion messages release the local locks
 // held on its behalf. When an action body is mid-Work on another thread (a
-// timeout or a sibling's failure can fire at any moment), the rollback and
-// the lock-releasing broadcast are deferred to that execution's retirement
-// (endExec): undoing concurrently with a still-running mutation would let
-// the mutation survive the abort, and releasing local locks before the undo
-// lands would hand waiters a torn read.
+// timeout or a sibling's failure can fire at any moment), the rollback, the
+// lock-releasing broadcast, and the client wakeup are deferred to that
+// execution's retirement (endExec): undoing concurrently with a still-running
+// mutation would let the mutation survive the abort, releasing local locks
+// before the undo lands would hand waiters a torn read, and reporting the
+// abort before it would show the client a write it was told was undone.
 func (t *Transaction) fail(cause error) {
 	if !t.state.CompareAndSwap(flowRunning, flowAborted) {
 		return
@@ -617,7 +619,6 @@ func (t *Transaction) fail(cause error) {
 	if t.execs.Load() == 0 {
 		t.completeAbort()
 	}
-	close(t.done)
 }
 
 // beginExec registers an action body about to execute on behalf of this
@@ -641,18 +642,26 @@ func (t *Transaction) endExec() {
 }
 
 // completeAbort performs the abort's side effects exactly once: the engine
-// rollback, the admission-credit release, and the completion broadcast that
-// releases the transaction's local locks (strictly after the rollback, so a
-// woken waiter never reads state that is still being undone).
+// rollback, the admission-credit release, the completion broadcast that
+// releases the transaction's local locks, and finally the client wakeup —
+// all strictly after the rollback, so neither a woken lock waiter nor the
+// client ever reads state that is still being undone. A failed rollback is
+// reported alongside the abort cause; an engine transaction that had already
+// ended (ErrTxnDone) had nothing left to roll back.
 func (t *Transaction) completeAbort() {
 	if !t.abortDone.CompareAndSwap(false, true) {
 		return
 	}
 	if t.txn != nil {
-		_ = t.sys.eng.Abort(t.txn)
+		if err := t.sys.eng.Abort(t.txn); err != nil && !errors.Is(err, engine.ErrTxnDone) {
+			t.errMu.Lock()
+			t.err = fmt.Errorf("%w (rollback failed: %w)", t.err, err)
+			t.errMu.Unlock()
+		}
 	}
 	t.releaseAdmission()
 	t.broadcastCompletions()
+	close(t.done)
 }
 
 // broadcastCompletions enqueues the transaction-completion message to every

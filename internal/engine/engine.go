@@ -88,11 +88,6 @@ type Config struct {
 	// by the work done since the last checkpoint. Zero disables the loop;
 	// Checkpoint can still be called manually.
 	CheckpointEvery time.Duration
-
-	// LatchedLogAppends selects the WAL's pre-consolidation append path
-	// (encode under the buffer mutex) as the A/B baseline for commit-pipeline
-	// experiments. Off by default: appends consolidate.
-	LatchedLogAppends bool
 }
 
 // DefaultBufferPoolFrames is the default pool capacity (64 MiB of 8 KiB
@@ -138,12 +133,8 @@ type Engine struct {
 	// an engine whose pruner New already started.
 	prunerMu sync.Mutex
 
-	colMu sync.RWMutex
-	col   *metrics.Collector
-
-	traceMu    sync.RWMutex
-	trace      TraceHook
-	traceStart time.Time
+	col   atomic.Pointer[metrics.Collector]
+	trace atomic.Pointer[tracer]
 
 	// Fuzzy checkpointing (checkpoint.go): dir roots the ckpt-<cutLSN>.img
 	// files (the log directory; empty for in-memory engines, which cannot
@@ -166,7 +157,7 @@ type Engine struct {
 // a background WAL flusher goroutine; long-lived processes that create
 // engines repeatedly should call Close when done with each one.
 func New(cfg Config) *Engine {
-	log, err := wal.Open(wal.Options{Sync: cfg.LogSync, SyncEvery: cfg.LogSyncEvery, LatchedAppends: cfg.LatchedLogAppends})
+	log, err := wal.Open(wal.Options{Sync: cfg.LogSync, SyncEvery: cfg.LogSyncEvery})
 	if err != nil {
 		// The in-memory device cannot fail to open.
 		panic(err)
@@ -181,10 +172,9 @@ func New(cfg Config) *Engine {
 // and real storage. The engine owns the device and closes it with Close.
 func NewWithDevice(cfg Config, dev wal.Device) (*Engine, error) {
 	log, err := wal.Open(wal.Options{
-		Device:         dev,
-		Sync:           cfg.LogSync,
-		SyncEvery:      cfg.LogSyncEvery,
-		LatchedAppends: cfg.LatchedLogAppends,
+		Device:    dev,
+		Sync:      cfg.LogSync,
+		SyncEvery: cfg.LogSyncEvery,
 	})
 	if err != nil {
 		return nil, err
@@ -244,18 +234,14 @@ func (e *Engine) BufferPool() *buffer.Pool { return e.pool }
 // SetCollector attaches a metrics collector to the engine, its lock manager,
 // and its log manager; nil detaches.
 func (e *Engine) SetCollector(c *metrics.Collector) {
-	e.colMu.Lock()
-	e.col = c
-	e.colMu.Unlock()
+	e.col.Store(c)
 	e.lm.SetCollector(c)
 	e.log.SetCollector(c)
 }
 
 // Collector returns the attached metrics collector, which may be nil.
 func (e *Engine) Collector() *metrics.Collector {
-	e.colMu.RLock()
-	defer e.colMu.RUnlock()
-	return e.col
+	return e.col.Load()
 }
 
 // CreateTable creates a table with its primary and secondary indexes. The

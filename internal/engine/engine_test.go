@@ -431,6 +431,49 @@ func TestConcurrentTransfersPreserveTotalBalance(t *testing.T) {
 	}
 }
 
+func TestConcurrentUpdatesUnderDifferentLocksLoseNothing(t *testing.T) {
+	// A Baseline transaction (centralized row lock) and a DORA action (no
+	// centralized lock) increment the same record concurrently, as when both
+	// systems run over one engine: neither lock excludes the other, so only
+	// the update's own atomicity keeps every increment.
+	e, _ := newAccountsEngine(t)
+	defer e.Close()
+	txn := e.Begin()
+	mustInsert(t, e, txn, 1, 1, "a", 0)
+	if err := e.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	const perWriter = 300
+	var wg sync.WaitGroup
+	for _, opt := range []AccessOptions{Conventional(), {NoLock: true}} {
+		wg.Add(1)
+		go func(opt AccessOptions) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				txn := e.Begin()
+				err := e.Update(txn, "accounts", pkOf(1), opt, func(tu storage.Tuple) (storage.Tuple, error) {
+					tu[3] = storage.FloatValue(tu[3].Float + 1)
+					return tu, nil
+				})
+				if err == nil {
+					err = e.Commit(txn)
+				}
+				if err != nil {
+					t.Errorf("increment %d: %v", i, err)
+					return
+				}
+			}
+		}(opt)
+	}
+	wg.Wait()
+	check := e.Begin()
+	got, err := e.Probe(check, "accounts", pkOf(1), Conventional())
+	if err != nil || got[3].Float != 2*perWriter {
+		t.Fatalf("balance = %v, %v; want %d (an increment was lost)", got, err, 2*perWriter)
+	}
+	e.Commit(check)
+}
+
 func TestRecoveryAfterCrash(t *testing.T) {
 	e, _ := newAccountsEngine(t)
 	committed := e.Begin()

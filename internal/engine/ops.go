@@ -113,7 +113,8 @@ func (e *Engine) probeRID(t *Txn, tbl *Table, rid storage.RID, mode lockmgr.Mode
 }
 
 // Update applies fn to the record with the given primary key and stores the
-// result. fn receives a copy of the current tuple and returns the new version.
+// result. fn receives a copy of the current tuple and returns the new version;
+// it runs under the record's row latch, so it must not call into the engine.
 func (e *Engine) Update(t *Txn, table string, pk storage.Key, opt AccessOptions, fn func(storage.Tuple) (storage.Tuple, error)) error {
 	if err := t.ensureActive(); err != nil {
 		return err
@@ -151,20 +152,44 @@ func (e *Engine) updateRID(t *Txn, tbl *Table, rid storage.RID, opt AccessOption
 			return lockErr(err)
 		}
 	}
+	before, after, err := e.rewriteRecord(t, tbl, rid, fn)
+	if err != nil {
+		return err
+	}
+	if keysDiffer(tbl, before, after) {
+		if err := tbl.replaceIndexEntries(before, after, rid); err != nil {
+			return err
+		}
+	}
+	e.emitTrace(opt.WorkerID, tbl, after, rid)
+	return nil
+}
+
+// rewriteRecord reads the record at rid, applies fn, logs the change, and
+// stores the result as one step under the record's row latch. Writers of one
+// record are normally serialized by a lock (centralized for Baseline, the
+// executor's local lock for DORA), but when both systems run over the same
+// engine a DORA action and a Baseline transaction hold different locks on
+// the same record; without the latch their read-modify-writes interleave and
+// one update is lost.
+func (e *Engine) rewriteRecord(t *Txn, tbl *Table, rid storage.RID, fn func(storage.Tuple) (storage.Tuple, error)) (before, after storage.Tuple, err error) {
+	latch := &tbl.rowLatches[rid.Key()%uint64(len(tbl.rowLatches))]
+	latch.Lock()
+	defer latch.Unlock()
 	beforeBytes, err := tbl.heap.get(rid)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	before, err := storage.DecodeTuple(beforeBytes)
+	before, err = storage.DecodeTuple(beforeBytes)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	after, err := fn(before.Clone())
+	after, err = fn(before.Clone())
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := tbl.def.Schema.Validate(after); err != nil {
-		return err
+		return nil, nil, err
 	}
 	afterBytes := after.Encode(nil)
 	rec := newRecord()
@@ -176,7 +201,7 @@ func (e *Engine) updateRID(t *Txn, tbl *Table, rid storage.RID, opt AccessOption
 	rec.After = afterBytes
 	if _, err := e.logWrite(t, rec); err != nil {
 		recycleRecord(rec)
-		return err
+		return nil, nil, err
 	}
 	t.recordChange(rec)
 	// Install the new version before touching the heap (mvcc.go ordering
@@ -184,15 +209,9 @@ func (e *Engine) updateRID(t *Txn, tbl *Table, rid storage.RID, opt AccessOption
 	// guaranteed to also see the chain and resolve through it.
 	t.addPending(tbl, rid, tbl.versions.install(rid, t.id, afterBytes, beforeBytes))
 	if err := tbl.heap.update(rid, afterBytes); err != nil {
-		return err
+		return nil, nil, err
 	}
-	if keysDiffer(tbl, before, after) {
-		if err := tbl.replaceIndexEntries(before, after, rid); err != nil {
-			return err
-		}
-	}
-	e.emitTrace(opt.WorkerID, tbl, after, rid)
-	return nil
+	return before, after, nil
 }
 
 // Insert adds a new record and returns its RID. Even under DORA the new

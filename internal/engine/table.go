@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"dora/internal/btree"
 	"dora/internal/buffer"
@@ -32,6 +33,10 @@ type Table struct {
 	versions *versionStore
 
 	secondaries map[string]*secondaryIndex
+
+	// rowLatches make a record update's read-modify-write atomic (see
+	// rewriteRecord), striped by RID.
+	rowLatches [64]sync.Mutex
 }
 
 func newTable(id TableID, def TableDef, pool *buffer.Pool) (*Table, error) {

@@ -30,25 +30,31 @@ type TraceEvent struct {
 // non-blocking; they run inline with record accesses.
 type TraceHook func(TraceEvent)
 
+// tracer is an installed trace hook together with its clock origin; the
+// engine swaps whole tracers atomically so a record access reads both with
+// one pointer load.
+type tracer struct {
+	hook  TraceHook
+	start time.Time
+}
+
 // SetTraceHook installs a record-access trace hook; nil disables tracing.
 // The trace clock starts when the hook is installed.
 func (e *Engine) SetTraceHook(hook TraceHook) {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	e.trace = hook
-	e.traceStart = time.Now()
+	if hook == nil {
+		e.trace.Store(nil)
+		return
+	}
+	e.trace.Store(&tracer{hook: hook, start: time.Now()})
 }
 
 func (e *Engine) emitTrace(worker int, tbl *Table, tuple storage.Tuple, rid storage.RID) {
-	e.traceMu.RLock()
-	hook := e.trace
-	start := e.traceStart
-	e.traceMu.RUnlock()
-	if hook == nil {
+	tr := e.trace.Load()
+	if tr == nil {
 		return
 	}
 	ev := TraceEvent{
-		When:       time.Since(start),
+		When:       time.Since(tr.start),
 		WorkerID:   worker,
 		Table:      tbl.def.Name,
 		RoutingKey: tbl.RoutingKey(tuple),
@@ -60,7 +66,7 @@ func (e *Engine) emitTrace(worker int, tbl *Table, tuple storage.Tuple, rid stor
 			ev.Key = v.Int
 		}
 	}
-	hook(ev)
+	tr.hook(ev)
 }
 
 // TraceRecorder is a TraceHook that accumulates events in memory.

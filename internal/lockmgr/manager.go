@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dora/internal/latch"
@@ -100,8 +101,7 @@ type Manager struct {
 	statMu sync.Mutex
 	stats  Stats
 
-	colMu sync.RWMutex
-	col   *metrics.Collector
+	col atomic.Pointer[metrics.Collector]
 }
 
 // Option configures a Manager.
@@ -144,15 +144,7 @@ func New(opts ...Option) *Manager {
 
 // SetCollector attaches a metrics collector; nil detaches.
 func (m *Manager) SetCollector(c *metrics.Collector) {
-	m.colMu.Lock()
-	m.col = c
-	m.colMu.Unlock()
-}
-
-func (m *Manager) collector() *metrics.Collector {
-	m.colMu.RLock()
-	defer m.colMu.RUnlock()
-	return m.col
+	m.col.Store(c)
 }
 
 // Stats returns a snapshot of manager activity counters.
@@ -186,7 +178,7 @@ func (m *Manager) LockRow(txn TxnID, table uint32, ridKey uint64, mode Mode) err
 // deadlock victim. Re-acquiring a lock already held in a covering mode is a
 // no-op; requesting a stronger mode performs an upgrade.
 func (m *Manager) Acquire(txn TxnID, id LockID, mode Mode) error {
-	col := m.collector()
+	col := m.col.Load()
 	start := time.Now()
 	var contention time.Duration
 
@@ -443,7 +435,7 @@ func (m *Manager) removeWaitEdges(txn TxnID) {
 // conventional engine does at commit or after rollback. It returns the number
 // of locks released.
 func (m *Manager) ReleaseAll(txn TxnID) int {
-	col := m.collector()
+	col := m.col.Load()
 	m.txnMu.Lock()
 	locks := m.txnLocks[txn]
 	delete(m.txnLocks, txn)

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,12 +92,6 @@ type Options struct {
 	// RetryBackoff is the initial retry backoff, doubled per attempt and
 	// capped at MaxRetryBackoff (DefaultRetryBackoff when zero).
 	RetryBackoff time.Duration
-	// LatchedAppends selects the pre-consolidation append path: every
-	// appender takes the buffer mutex and encodes its record inside the
-	// critical section. It exists as the A/B baseline for the consolidated
-	// reservation path (the default) and for experiments that want the old
-	// serialization behavior.
-	LatchedAppends bool
 }
 
 // DefaultWriteRetries is the flusher's default transient-fault retry budget.
@@ -109,49 +102,6 @@ const DefaultRetryBackoff = time.Millisecond
 
 // MaxRetryBackoff caps the exponential flusher retry backoff.
 const MaxRetryBackoff = 20 * time.Millisecond
-
-// Consolidation-group state packing: one atomic int64 per group counts the
-// joined bytes, members, and commit records. A joiner CAS-adds its delta; the
-// pre-CAS byte count is its offset within the group's reserved region, and
-// the joiner that moves the state off zero becomes the group's leader.
-const (
-	groupClosed     = int64(-1)
-	groupCommitBits = 16
-	groupMemberBits = 16
-	groupByteShift  = groupCommitBits + groupMemberBits
-	groupMemberMax  = 1<<groupMemberBits - 1
-	// soloThreshold routes records too large for the packed byte field
-	// around the consolidation slot (self-reservation under the latch).
-	soloThreshold = 1 << 28
-)
-
-// conGroup is one consolidation group. Concurrent appenders join the open
-// group with a single CAS; the first joiner (the leader) takes the buffer
-// latch once on behalf of everyone, reserves the group's whole byte range,
-// and publishes the reserved region; every member — leader included — then
-// encodes its own record into its slice of the region outside the latch.
-type conGroup struct {
-	state atomic.Int64 // bytes<<32 | members<<16 | commits; groupClosed once sealed
-	ready atomic.Bool  // set by the leader after the fields below are final
-
-	// Published by the leader before ready; read by members after it.
-	base   LSN           // LSN of the group's first reserved byte
-	region []byte        // the reserved buffer range, len == joined bytes
-	encCtr *atomic.Int64 // outstanding-encode counter of the buffer generation
-	err    error         // non-nil when the manager refused the whole group
-}
-
-func packJoin(size int, commit bool) int64 {
-	d := int64(size)<<groupByteShift | 1<<groupCommitBits
-	if commit {
-		d |= 1
-	}
-	return d
-}
-
-func unpackState(s int64) (bytes int64, members, commits int) {
-	return s >> groupByteShift, int(s>>groupCommitBits) & groupMemberMax, int(s) & (1<<groupCommitBits - 1)
-}
 
 // Manager is the log manager: it assigns LSNs, buffers log records, and makes
 // them durable through a pipelined group-commit protocol. The paper notes
@@ -164,16 +114,16 @@ func unpackState(s int64) (bytes int64, members, commits int) {
 // latency, new records keep accumulating in the buffer, so the next write
 // coalesces everything that arrived meanwhile.
 //
-// Log insertion itself is consolidated in the style of Aether: appenders
-// CAS-join a consolidation group, the group's leader takes the buffer latch
-// once for everyone and reserves the group's byte range, and every member
-// encodes its record into its reserved slice outside the latch. The latch is
-// therefore paid once per group rather than once per record, and the encode
-// memcpy — the expensive part of an append — runs in parallel across
-// members. Per-transaction chain state (PrevLSN links, first-LSN tracking
-// for checkpoint cuts) lives with the callers: the engine's Txn carries its
-// own chain, and the manager only tracks the BEGIN/END-delimited active set
-// under a dedicated small mutex, off the append path entirely.
+// Log insertion is one short critical section: an appender takes the buffer
+// mutex, assigns the record its LSN (the next byte offset of the logical
+// stream), and encodes it onto the buffered tail. Appends are deliberately
+// not consolidated Aether-style (appenders CAS-joining groups that share one
+// mutex acquisition and encode outside it): on the TM1 and TPC-C benchmark
+// workloads such groups measured 1.00-1.01 appends each, so the machinery
+// only added cost. Per-transaction chain state (PrevLSN links, first-LSN
+// tracking for checkpoint cuts) lives with the callers: the engine's Txn
+// carries its own chain, and the manager only tracks the BEGIN/END-delimited
+// active set under a dedicated small mutex, off the append path entirely.
 //
 // The durability path is pluggable: the Device interface hides whether the
 // log lands in a byte slice (the paper's in-memory setup) or in checksummed,
@@ -188,22 +138,12 @@ type Manager struct {
 	base     LSN    // LSN of the device's first retained byte (1 until TruncateBefore)
 	waiters  []flushWaiter
 
-	// nextLSN and flushedLSN are written under mu (by reservations and the
+	// nextLSN and flushedLSN are written under mu (by appends and the
 	// flusher respectively) and read lock-free by the hot stats getters
 	// (CurrentLSN, FlushedLSN, Backlog) so admission probes and metrics
 	// never contend with appenders.
 	nextLSN    atomic.Uint64
 	flushedLSN atomic.Uint64
-
-	// slot is the open consolidation group; encPending counts the encodes
-	// still in flight into the current buffer generation (members that have
-	// reserved a region but not finished writing it). The flusher waits it
-	// out before handing the swapped-out chunk to the device, and the latch
-	// holder waits it out before any buffer growth that would move the
-	// backing array under an in-flight encoder.
-	slot       atomic.Pointer[conGroup]
-	encPending *atomic.Int64
-	latched    bool // Options.LatchedAppends: encode under the mutex (A/B baseline)
 
 	// activeMu guards the BEGIN/END-delimited active-transaction set that
 	// fuzzy checkpoints cut against. Only transaction boundaries touch it —
@@ -234,7 +174,6 @@ type Manager struct {
 	// getters never take the manager mutex.
 	flushes        atomic.Uint64
 	appends        atomic.Uint64
-	groups         atomic.Uint64 // consolidation groups (latch acquisitions for appends)
 	commitsFlushed atomic.Uint64
 	maxCoalesced   atomic.Uint64
 	syncs          atomic.Uint64
@@ -298,12 +237,9 @@ func Open(opts Options) (*Manager, error) {
 		policy:     opts.Sync,
 		syncEvery:  opts.SyncEvery,
 		flushDelay: opts.FlushDelay,
-		latched:    opts.LatchedAppends,
 	}
 	m.base = 1
 	m.nextLSN.Store(1) // LSN 0 is NilLSN
-	m.encPending = new(atomic.Int64)
-	m.slot.Store(new(conGroup))
 	if m.policy == SyncInterval && m.syncEvery <= 0 {
 		m.syncEvery = DefaultSyncInterval
 	}
@@ -449,20 +385,19 @@ func (m *Manager) SetFlushDelay(d time.Duration) {
 }
 
 // SetCollector attaches a metrics collector that receives the
-// commits-coalesced-per-flush, consolidation-group, append-wait, and
-// device-write/fsync latency histograms; nil detaches.
+// commits-coalesced-per-flush, append-wait, and device-write/fsync latency
+// histograms; nil detaches.
 func (m *Manager) SetCollector(c *metrics.Collector) {
 	m.col.Store(c)
 }
 
-// Append assigns the record an LSN and buffers its encoded form, consolidating
-// concurrent appenders into groups that share one buffer-latch acquisition
-// (see the Manager comment). The caller owns the record's PrevLSN chain: the
-// manager writes whatever chain state the record carries. It returns the
-// assigned LSN, or ErrClosed after Close (a closed manager's log image is
-// final and must not be mutated), or the latched device error after a device
-// failure (a failed manager accepts no new work: its on-disk stream ends at
-// the last successful write).
+// Append assigns the record an LSN and encodes it onto the buffered tail, both
+// under the buffer mutex (see the Manager comment). The caller owns the
+// record's PrevLSN chain: the manager writes whatever chain state the record
+// carries. It returns the assigned LSN, or ErrClosed after Close (a closed
+// manager's log image is final and must not be mutated), or the latched
+// device error after a device failure (a failed manager accepts no new work:
+// its on-disk stream ends at the last successful write).
 func (m *Manager) Append(r *Record) (LSN, error) {
 	if r.Txn != 0 && r.Type == RecBegin {
 		// A BEGIN both reserves log space and registers the transaction in
@@ -470,7 +405,7 @@ func (m *Manager) Append(r *Record) (LSN, error) {
 		// pair atomic against CheckpointCut: a transaction either has its
 		// first LSN registered by the time a cut is taken, or every one of
 		// its records sits at or above the cut. (Lock order: activeMu before
-		// the buffer latch, matching CheckpointCut which takes activeMu
+		// the buffer mutex, matching CheckpointCut which takes activeMu
 		// only.)
 		m.activeMu.Lock()
 		lsn, err := m.append(r)
@@ -489,106 +424,15 @@ func (m *Manager) Append(r *Record) (LSN, error) {
 	return lsn, err
 }
 
-// append routes one record to the configured insertion path.
+// append is the single insertion path: under the buffer mutex, refuse the
+// record if the manager is closed or failed, otherwise assign its LSN and
+// encode it onto the buffered tail.
 func (m *Manager) append(r *Record) (LSN, error) {
 	col := m.col.Load()
 	var t0 time.Time
 	if col != nil {
 		t0 = time.Now()
 	}
-	var lsn LSN
-	var err error
-	size := r.encodedSize()
-	switch {
-	case m.latched:
-		lsn, err = m.appendLatched(r)
-	case size >= soloThreshold:
-		lsn, err = m.appendSolo(r, size)
-	default:
-		lsn, err = m.appendConsolidated(r, size)
-	}
-	if col != nil && err == nil {
-		col.ObserveAppendWait(time.Since(t0))
-	}
-	return lsn, err
-}
-
-// appendConsolidated is the default insertion path: join the open
-// consolidation group, elect the first joiner as leader, and encode into the
-// group's published region outside the latch.
-func (m *Manager) appendConsolidated(r *Record, size int) (LSN, error) {
-	var g *conGroup
-	var prefix int64
-	for {
-		g = m.slot.Load()
-		s := g.state.Load()
-		if s == groupClosed || (s>>groupCommitBits)&groupMemberMax == groupMemberMax {
-			// The group sealed (or filled) under us; its leader installs a
-			// fresh one momentarily.
-			runtime.Gosched()
-			continue
-		}
-		if g.state.CompareAndSwap(s, s+packJoin(size, r.Type == RecCommit)) {
-			prefix = s >> groupByteShift
-			if s == 0 {
-				m.leadGroup(g)
-			}
-			break
-		}
-	}
-	// The leader published the group's reservation (or its refusal).
-	for !g.ready.Load() {
-		runtime.Gosched()
-	}
-	if g.err != nil {
-		return NilLSN, g.err
-	}
-	r.LSN = g.base + LSN(prefix)
-	r.encodeInto(g.region[prefix : prefix+int64(size)])
-	g.encCtr.Add(-1)
-	return r.LSN, nil
-}
-
-// leadGroup runs the group's single latched section: take the buffer mutex on
-// behalf of every member (the group keeps accruing joiners while the leader
-// waits for it), seal the group, reserve its byte range, and publish the
-// region. Called by the joiner whose CAS moved the group state off zero.
-func (m *Manager) leadGroup(g *conGroup) {
-	m.mu.Lock()
-	// Open a fresh group first so sealed-out joiners have somewhere to go,
-	// then seal: every joiner whose CAS landed before the swap is included
-	// in the totals and gets a slice of the reservation.
-	m.slot.Store(new(conGroup))
-	bytes, members, commits := unpackState(g.state.Swap(groupClosed))
-	if m.closed {
-		g.err = ErrClosed
-		m.mu.Unlock()
-		g.ready.Store(true)
-		return
-	}
-	if m.devErr != nil {
-		g.err = wrapDevErr(m.devErr)
-		m.mu.Unlock()
-		g.ready.Store(true)
-		return
-	}
-	region, base := m.reserveLocked(int(bytes))
-	g.region, g.base = region, base
-	g.encCtr = m.encPending
-	g.encCtr.Add(int64(members))
-	m.appends.Add(uint64(members))
-	m.groups.Add(1)
-	m.mu.Unlock()
-	g.ready.Store(true)
-	if col := m.col.Load(); col != nil {
-		col.ObserveConsGroup(members)
-		col.ObserveConsGroupCommits(commits)
-	}
-}
-
-// appendSolo reserves and encodes one oversized record as a group of its own
-// (still encoding outside the latch).
-func (m *Manager) appendSolo(r *Record, size int) (LSN, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -599,67 +443,15 @@ func (m *Manager) appendSolo(r *Record, size int) (LSN, error) {
 		m.mu.Unlock()
 		return NilLSN, err
 	}
-	region, base := m.reserveLocked(size)
-	ctr := m.encPending
-	ctr.Add(1)
-	m.appends.Add(1)
-	m.groups.Add(1)
-	m.mu.Unlock()
-	r.LSN = base
-	r.encodeInto(region)
-	ctr.Add(-1)
-	return base, nil
-}
-
-// appendLatched is the pre-consolidation baseline: reservation and encode
-// both inside the critical section, one latch acquisition per record.
-func (m *Manager) appendLatched(r *Record) (LSN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return NilLSN, ErrClosed
-	}
-	if m.devErr != nil {
-		return NilLSN, wrapDevErr(m.devErr)
-	}
 	r.LSN = LSN(1 + m.devSize + int64(len(m.flushing)) + int64(len(m.buf)))
 	m.buf = r.encode(m.buf)
 	m.nextLSN.Store(uint64(1 + m.devSize + int64(len(m.flushing)) + int64(len(m.buf))))
+	m.mu.Unlock()
 	m.appends.Add(1)
-	m.groups.Add(1)
-	return r.LSN, nil
-}
-
-// minBufCap is the initial reservation-buffer capacity; growing by doubling
-// from here keeps reallocation (which must wait out in-flight encoders) rare.
-const minBufCap = 64 << 10
-
-// reserveLocked extends the buffer by n bytes and returns the reserved region
-// and its base LSN. The caller holds mu. Growth that would move the backing
-// array first waits out every in-flight encoder — their regions alias the
-// current array — which terminates because encoders never need the latch and
-// no new reservation can start while we hold it.
-func (m *Manager) reserveLocked(n int) ([]byte, LSN) {
-	off := len(m.buf)
-	if off+n > cap(m.buf) {
-		for m.encPending.Load() > 0 {
-			runtime.Gosched()
-		}
-		newCap := 2 * cap(m.buf)
-		if newCap < off+n {
-			newCap = off + n
-		}
-		if newCap < minBufCap {
-			newCap = minBufCap
-		}
-		nb := make([]byte, off, newCap)
-		copy(nb, m.buf)
-		m.buf = nb
+	if col != nil {
+		col.ObserveAppendWait(time.Since(t0))
 	}
-	m.buf = m.buf[: off+n : cap(m.buf)]
-	base := LSN(1 + m.devSize + int64(len(m.flushing)) + int64(off))
-	m.nextLSN.Store(uint64(base) + uint64(n))
-	return m.buf[off : off+n], base
+	return r.LSN, nil
 }
 
 // FlushAsync requests that the log become durable up to at least lsn. It
@@ -765,9 +557,7 @@ func (m *Manager) syncLoop() {
 // under SyncOnFlush, exactly one fsync), then wakes every waiter the write
 // covered. The device latency is paid without holding the manager mutex, so
 // appends (and therefore the next commit group) proceed while the write is in
-// flight. Before the chunk goes to the device the flusher waits out the
-// members still encoding into it; they hold slices of the swapped-out array,
-// so the swap itself never blocks on them.
+// flight: they encode into the spare buffer swapped in for the chunk.
 func (m *Manager) flushOnce() {
 	m.mu.Lock()
 	for m.flushInProgress {
@@ -790,11 +580,7 @@ func (m *Manager) flushOnce() {
 	policy := m.policy
 	firstLSN := LSN(m.devSize) + 1
 	m.flushing = m.buf
-	drain := m.encPending
-	m.encPending = new(atomic.Int64)
 	if m.spare != nil {
-		// The spare array's encoders drained before its own device write two
-		// generations ago; nothing aliases it.
 		m.buf = m.spare[:0]
 		m.spare = nil
 	} else {
@@ -802,13 +588,6 @@ func (m *Manager) flushOnce() {
 	}
 	chunk := m.flushing
 	m.mu.Unlock()
-
-	// Wait for the members still encoding into the swapped-out chunk. No new
-	// encoder can join it — reservations target the fresh buffer — so this
-	// drains in the time of the slowest in-flight memcpy.
-	for drain.Load() > 0 {
-		runtime.Gosched()
-	}
 
 	if delay > 0 {
 		time.Sleep(delay) // the modeled extra device latency
@@ -1012,9 +791,9 @@ func (m *Manager) Appends() uint64 {
 type FlushStats struct {
 	// Appends is the number of records appended.
 	Appends uint64
-	// Groups is the number of buffer-latch acquisitions that served those
-	// appends: consolidation groups plus solo reservations (equal to Appends
-	// under LatchedAppends). Appends/Groups is the mean consolidation factor.
+	// Groups is the number of buffer-mutex acquisitions that served those
+	// appends. Every append takes the mutex once, so it always equals
+	// Appends; the field stays for readers that report appends per group.
 	Groups uint64
 	// Flushes is the number of log device writes performed.
 	Flushes uint64
@@ -1034,9 +813,10 @@ type FlushStats struct {
 // FlushStats returns a snapshot of the group-commit counters without taking
 // the manager mutex.
 func (m *Manager) FlushStats() FlushStats {
+	appends := m.appends.Load()
 	return FlushStats{
-		Appends:        m.appends.Load(),
-		Groups:         m.groups.Load(),
+		Appends:        appends,
+		Groups:         appends,
 		Flushes:        m.flushes.Load(),
 		Syncs:          m.syncs.Load(),
 		CommitsFlushed: m.commitsFlushed.Load(),
@@ -1047,16 +827,12 @@ func (m *Manager) FlushStats() FlushStats {
 
 // image returns the full logical log image (durable, in-flight, and buffered
 // bytes). It waits out any in-progress flush so the device read is
-// frame-consistent, and any in-flight encoders so the buffered tail is fully
-// materialized.
+// frame-consistent.
 func (m *Manager) image(durableOnly bool) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.flushInProgress {
 		m.flushDone.Wait()
-	}
-	for m.encPending.Load() > 0 {
-		runtime.Gosched()
 	}
 	base, stream, err := m.dev.ReadAll()
 	if err != nil {

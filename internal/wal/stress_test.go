@@ -10,42 +10,34 @@ import (
 	"dora/internal/storage"
 )
 
-// Consolidated appends must assign gap-free LSNs under heavy concurrency: the
-// log is a byte stream, so sorting the assigned LSNs must reproduce it exactly
-// — every record starts where the previous one ended, with no hole and no
-// overlap, and the encoded stream must decode back to every record.
+// Appends must assign gap-free LSNs under heavy concurrency: the log is a
+// byte stream, so sorting the assigned LSNs must reproduce it exactly — every
+// record starts where the previous one ended, with no hole and no overlap,
+// and the encoded stream must decode back to every record.
 func TestConcurrentAppendLSNsGapFree(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
 
 	const workers = 8
 	const perWorker = 400
-	type entry struct {
-		lsn  LSN
-		size int
-	}
-	results := make([][]entry, workers)
+	results := make([][]appended, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				// Varying payload sizes exercise the prefix-sum offsets
-				// within consolidation groups.
+				// Varying payload sizes make each record's LSN depend on
+				// the exact sizes of every record appended before it.
 				r := &Record{
 					Txn:   TxnID(w*perWorker + i + 1),
 					Type:  RecUpdate,
 					RID:   storage.RID{Page: storage.PageID(w), Slot: uint16(i)},
 					After: []byte(fmt.Sprintf("w%d-i%d-%s", w, i, "xxxxxxxxxxxxxxxx"[:i%16])),
 				}
-				size := r.encodedSize()
-				lsn, err := m.Append(r)
-				if err != nil {
-					t.Errorf("Append(w=%d,i=%d): %v", w, i, err)
+				if !appendOne(t, m, r, &results[w]) {
 					return
 				}
-				results[w] = append(results[w], entry{lsn: lsn, size: size})
 			}
 		}(w)
 	}
@@ -53,8 +45,95 @@ func TestConcurrentAppendLSNsGapFree(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	checkGapFree(t, m, results)
+}
 
-	var all []entry
+// A record far larger than the buffered tail's capacity must still land
+// contiguously while small appends race it: the buffer grows under the mutex,
+// so neither the large record nor any small one around it is torn, shifted,
+// or assigned an overlapping LSN.
+func TestConcurrentAppendLargeRecord(t *testing.T) {
+	m := NewManager()
+	defer m.Close()
+
+	const workers = 8
+	const perWorker = 200
+	const large = 3
+	results := make([][]appended, workers+1)
+	payload := func(i int) []byte {
+		b := make([]byte, 256<<10)
+		for j := range b {
+			b[j] = byte(i + j)
+		}
+		return b
+	}
+	var wg sync.WaitGroup
+	for w := 0; w <= workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == workers {
+				for i := 0; i < large; i++ {
+					r := &Record{Txn: TxnID(1 << 20), Type: RecUpdate, After: payload(i)}
+					if !appendOne(t, m, r, &results[w]) {
+						return
+					}
+				}
+				return
+			}
+			for i := 0; i < perWorker; i++ {
+				r := &Record{Txn: TxnID(w*perWorker + i + 1), Type: RecUpdate, After: []byte{byte(w), byte(i)}}
+				if !appendOne(t, m, r, &results[w]) {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	recs := checkGapFree(t, m, results)
+	seen := 0
+	for _, r := range recs {
+		if r.Txn != 1<<20 {
+			continue
+		}
+		if !reflect.DeepEqual(r.After, payload(seen)) {
+			t.Fatalf("large record %d at LSN %d decoded with a corrupted payload", seen, r.LSN)
+		}
+		seen++
+	}
+	if seen != large {
+		t.Fatalf("decoded %d large records, want %d", seen, large)
+	}
+}
+
+// appended is one record's assigned LSN and encoded size.
+type appended struct {
+	lsn  LSN
+	size int
+}
+
+// appendOne appends r and records its LSN and size in out, reporting
+// success.
+func appendOne(t *testing.T, m *Manager, r *Record, out *[]appended) bool {
+	size := r.encodedSize()
+	lsn, err := m.Append(r)
+	if err != nil {
+		t.Errorf("Append(txn %d): %v", r.Txn, err)
+		return false
+	}
+	*out = append(*out, appended{lsn: lsn, size: size})
+	return true
+}
+
+// checkGapFree asserts that the per-goroutine append results tile the log
+// from LSN 1 with no gap or overlap, that the stream decodes to exactly those
+// records in LSN order, and returns the decoded records.
+func checkGapFree(t *testing.T, m *Manager, results [][]appended) []*Record {
+	t.Helper()
+	var all []appended
 	for _, rs := range results {
 		all = append(all, rs...)
 	}
@@ -69,31 +148,22 @@ func TestConcurrentAppendLSNsGapFree(t *testing.T) {
 	if got := m.CurrentLSN(); got != expect {
 		t.Fatalf("CurrentLSN = %d, want %d", got, expect)
 	}
-	if got := m.Appends(); got != workers*perWorker {
-		t.Fatalf("Appends = %d, want %d", got, workers*perWorker)
+	if got := m.Appends(); got != uint64(len(all)) {
+		t.Fatalf("Appends = %d, want %d", got, len(all))
 	}
-
-	// Every out-of-latch encode landed intact: the stream decodes to exactly
-	// the appended records, in LSN order, each carrying its assigned LSN.
 	recs, err := m.Records()
 	if err != nil {
 		t.Fatalf("Records: %v", err)
 	}
-	if len(recs) != workers*perWorker {
-		t.Fatalf("decoded %d records, want %d", len(recs), workers*perWorker)
+	if len(recs) != len(all) {
+		t.Fatalf("decoded %d records, want %d", len(recs), len(all))
 	}
 	for i, r := range recs {
 		if r.LSN != all[i].lsn {
 			t.Fatalf("decoded record %d has LSN %d, want %d", i, r.LSN, all[i].lsn)
 		}
 	}
-
-	// The latch was shared: fewer group acquisitions than appends means
-	// consolidation actually happened (informational — scheduling could in
-	// principle serialize everything, so this only logs).
-	st := m.FlushStats()
-	t.Logf("appends=%d groups=%d (mean consolidation %.2f)",
-		st.Appends, st.Groups, float64(st.Appends)/float64(st.Groups))
+	return recs
 }
 
 // appendTxnRecords writes one transaction's deterministic record sequence,
