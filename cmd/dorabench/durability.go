@@ -144,7 +144,8 @@ func crashDriver(o options) *tpcc.Driver {
 // runCrashChild is the child half of the crash-restart experiment: it loads a
 // TPC-C database into a file-backed engine under -logdir with SyncOnFlush
 // durability, then runs the five-transaction mix forever, reporting cumulative
-// commits on stdout, until the parent SIGKILLs it mid-run.
+// commits and each new checkpoint's cut LSN on stdout, until the parent
+// SIGKILLs it mid-run.
 func runCrashChild(o options) error {
 	if o.logdir == "" {
 		return fmt.Errorf("-crash-child requires -logdir")
@@ -163,6 +164,7 @@ func runCrashChild(o options) error {
 	}
 	fmt.Println("READY")
 	var total uint64
+	var cut wal.LSN
 	for i := 0; ; i++ {
 		sys := harness.DORA
 		if i%2 == 1 {
@@ -175,11 +177,16 @@ func runCrashChild(o options) error {
 		}
 		total += res.Committed
 		fmt.Printf("COMMITTED %d\n", total)
+		if c := env.Engine.LastCheckpoint().CutLSN; c != cut {
+			cut = c
+			fmt.Printf("CHECKPOINT %d\n", cut)
+		}
 	}
 }
 
 // figCrash is the parent half: it spawns a child process running the durable
-// TPC-C mix, SIGKILLs it mid-run once enough commits are reported, reopens the
+// TPC-C mix, SIGKILLs it mid-run once enough commits are reported (and, when
+// the child checkpoints, once a checkpoint has landed), reopens the
 // same log directory via engine.Open (true process-restart recovery: catalog,
 // data, and indexes rebuilt from the segmented WAL alone), and gates on the
 // §3.3.2 consistency checker — before and after fresh post-restart traffic.
@@ -212,20 +219,17 @@ func figCrash(o options) error {
 	}
 
 	// Track the child's progress; kill it mid-run once it has committed
-	// enough that recovery has real work to replay.
-	var lastReported uint64
-	progress := make(chan uint64, 64)
+	// enough that recovery has real work to replay and, in the checkpointing
+	// arm, once an image exists for recovery to start from.
+	var lastReported, lastCut uint64
+	progress := make(chan string, 64)
 	scanErr := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			line := sc.Text()
-			var n uint64
-			if _, err := fmt.Sscanf(line, "COMMITTED %d", &n); err == nil {
-				select {
-				case progress <- n:
-				default: // parent stopped receiving after the kill; drop
-				}
+			select {
+			case progress <- sc.Text():
+			default: // parent stopped receiving after the kill; drop
 			}
 		}
 		scanErr <- sc.Err()
@@ -234,25 +238,26 @@ func figCrash(o options) error {
 	killed := false
 	for !killed {
 		select {
-		case n := <-progress:
-			lastReported = n
-			if n >= o.crashCommits {
+		case line := <-progress:
+			fmt.Sscanf(line, "COMMITTED %d", &lastReported) //nolint:errcheck // other lines leave it unchanged
+			fmt.Sscanf(line, "CHECKPOINT %d", &lastCut)     //nolint:errcheck
+			if lastReported >= o.crashCommits && (o.crashCheckpoint == 0 || lastCut > 0) {
 				if err := cmd.Process.Kill(); err != nil { // SIGKILL: no shutdown path runs
 					return fmt.Errorf("killing child: %w", err)
 				}
 				killed = true
 			}
 		case err := <-scanErr:
-			return fmt.Errorf("child exited before reaching %d commits (last %d): %v",
-				o.crashCommits, lastReported, err)
+			return fmt.Errorf("child exited before reaching %d commits (last %d, checkpoint cut %d): %v",
+				o.crashCommits, lastReported, lastCut, err)
 		case <-deadline:
 			cmd.Process.Kill()
-			return fmt.Errorf("child did not reach %d commits within %s (last %d)",
-				o.crashCommits, o.crashTimeout, lastReported)
+			return fmt.Errorf("child did not reach %d commits within %s (last %d, checkpoint cut %d)",
+				o.crashCommits, o.crashTimeout, lastReported, lastCut)
 		}
 	}
 	cmd.Wait() // reap; the kill makes the exit status non-zero by design
-	fmt.Printf("child SIGKILLed after reporting %d commits\n", lastReported)
+	fmt.Printf("child SIGKILLed after reporting %d commits (checkpoint cut %d)\n", lastReported, lastCut)
 
 	// True process-restart recovery: nothing survives from the child but the
 	// log directory (segments plus any checkpoint images).

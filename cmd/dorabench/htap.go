@@ -23,7 +23,7 @@ import (
 // its own freshly loaded database:
 //
 //	baseline  the mix alone — no scanners.
-//	snapshot  scanners read one epoch-pinned snapshot per pass: no
+//	snapshot  scanners read one horizon-pinned snapshot per pass: no
 //	          lock-table entries, no queue latches, writers never wait.
 //	locked    the pre-MVCC alternative: scanners are DORA transactions
 //	          holding warehouse-wide shared claims for the whole pass, and
@@ -41,7 +41,7 @@ import (
 //
 // Every scanner pass checks the §3.3.2 payment-conservation invariant
 // W_YTD = Σ D_YTD inside its own read set: a snapshot pass must see it hold
-// at its pinned epoch even mid-Payment. The figure always gates on hard
+// at its pinned horizon even mid-Payment. The figure always gates on hard
 // errors, post-run invariants, zero in-scan consistency failures, and the
 // scanner arms making progress; with -htap-tps-gate it additionally requires
 // the snapshot arm's OLTP throughput to degrade at most 15% versus baseline
@@ -336,7 +336,7 @@ func median(xs []float64) float64 {
 	}
 }
 
-// htapSnapshotPass aggregates the three tables over one epoch-pinned
+// htapSnapshotPass aggregates the three tables over one horizon-pinned
 // snapshot: per-warehouse W_YTD and Σ D_YTD (checked against each other) and
 // a full ORDER_LINE amount rollup as the heavy analytical portion. It takes
 // no lock-table entries and no queue latches.

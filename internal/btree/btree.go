@@ -9,7 +9,7 @@
 // entries are removed only by their owner (rollback or the engine's version
 // pruner, once no snapshot can still need them) — never opportunistically at
 // leaf splits, because a flagged entry is the only path by which an
-// epoch-pinned snapshot reaches the old version chain of a deleted record.
+// horizon-pinned snapshot reaches the old version chain of a deleted record.
 //
 // The tree keeps all nodes in memory (the paper's evaluation stores the whole
 // database on an in-memory file system) and is protected by a single
@@ -194,7 +194,7 @@ const scanChunk = 128
 // whose key starts with the given prefix, invoking fn until it returns false.
 // A nil or empty prefix scans the whole tree. Snapshot reads use it: a flagged
 // entry is the only index path to a deleted record's version chain, and the
-// chain (not the flag) decides visibility at the snapshot's epoch.
+// chain (not the flag) decides visibility at the snapshot's horizon.
 //
 // fn runs with the tree's read latch held, which is what guarantees that any
 // flagged entry fn observes still has its version chain installed (the pruner
@@ -204,8 +204,8 @@ const scanChunk = 128
 // chunk only ever breaks between distinct keys — duplicate entries of one key
 // (a flagged relic plus a live reinsertion) are always visited under a single
 // hold, so a caller deduplicating by key never loses the entry that resolves.
-// Entries inserted or pruned between chunks are harmless to epoch-pinned
-// readers: a new entry's versions carry commit epochs later than any
+// Entries inserted or pruned between chunks are harmless to horizon-pinned
+// readers: a new entry's versions carry commit LSNs later than any
 // already-pinned snapshot, and the pruner only unlinks entries whose delete
 // is already visible to every registered snapshot.
 func (t *Tree) ScanPrefixAll(prefix storage.Key, fn func(Entry) bool) {
@@ -258,7 +258,7 @@ func (t *Tree) ScanPrefixAll(prefix storage.Key, fn func(Entry) bool) {
 // included — invoking fn until it returns false. Like ScanPrefixAll, fn runs
 // under the read latch; snapshot point probes use it because a key may carry
 // both a flagged entry (old record) and a live one (reinserted record) and
-// only the version chains can tell which is visible at a given epoch.
+// only the version chains can tell which is visible at a given horizon.
 func (t *Tree) SearchEach(key storage.Key, fn func(Entry) bool) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
@@ -476,7 +476,7 @@ func (t *Tree) insertInto(n *node, e Entry) (*node, storage.Key) {
 
 // splitLeaf splits an over-full leaf. Flagged entries are NOT collected here:
 // dropping one would sever an uncommitted delete's rollback path and hide the
-// record's version chain from epoch-pinned snapshots. Physical removal is the
+// record's version chain from horizon-pinned snapshots. Physical removal is the
 // pruner's job (DeleteFlagged), once the flagged entry is provably dead.
 func (t *Tree) splitLeaf(n *node) (*node, storage.Key) {
 	mid := len(n.entries) / 2

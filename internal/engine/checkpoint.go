@@ -20,17 +20,20 @@ import (
 // Fuzzy checkpointing (ARIES-style, adapted to this engine's logical redo):
 //
 // A checkpoint is a consistent image of every table's catalog entry and the
-// records visible at one commit epoch E, pinned with a regular MVCC snapshot
-// so executors never stall while the image is written. Under the engine's
-// epoch mutex the checkpoint latches, atomically: E itself, the WAL cut
-// (every record appended before the latch sits strictly below it), and the
-// log's active-transaction set with each transaction's first LSN. Because
-// write transactions append their END record inside the same mutex
-// (finishCommit), a transaction is in the image iff it ended with epoch <= E,
-// and then all of its records sit below the cut — so recovery can load the
-// image and replay only the transactions that were active at the cut or began
-// after it (wal.LogImage.ApplyCheckpoint), never double-applying work the
-// image already contains.
+// records visible at one log horizon, pinned with a regular MVCC snapshot so
+// executors never stall while the image is written. Under the engine's
+// commit latch the checkpoint latches, atomically: the WAL cut (every record
+// appended before the latch sits strictly below it), the log's
+// active-transaction set with each transaction's first LSN, and a snapshot
+// pinned at cut-1. Write transactions append their COMMIT record and stamp
+// their versions with its LSN inside the same latch (appendCommit), so the
+// image holds exactly the transactions whose COMMIT sits below the cut; the
+// log is flushed up to the cut before the image is written, so all of them
+// are durable. Recovery loads the image and replays only the transactions
+// that were active at the cut or began after it, minus those whose COMMIT
+// sits below the cut even though their END landed after it
+// (wal.LogImage.ApplyCheckpoint) — never double-applying work the image
+// already contains.
 //
 // The image lands in ckpt-<cutLSN>.img using the WAL's checksummed
 // length-framed layout, written to a .tmp file, fsynced, renamed, and followed
@@ -42,7 +45,7 @@ import (
 // and still finds every log record it needs.
 const (
 	ckptMagic   = "DORACKP1"
-	ckptVersion = 1
+	ckptVersion = 2
 	ckptPrefix  = "ckpt-"
 	ckptSuffix  = ".img"
 
@@ -98,8 +101,6 @@ type CheckpointStats struct {
 	// this image can need (the first LSN of the oldest transaction active at
 	// the cut, or the cut itself when none was active).
 	LowLSN wal.LSN
-	// Epoch is the commit epoch the image is consistent at.
-	Epoch uint64
 	// Tables and Records count what the image holds; Bytes is the file size.
 	Tables  int
 	Records int
@@ -162,9 +163,9 @@ func findCheckpointFiles(dir string) []ckptFileRef {
 // Checkpoint writes a fuzzy checkpoint image of the engine, logs a
 // RecCheckpoint record, retires images beyond the retention window, and
 // truncates the WAL below the retained images' minimum replay horizon. It
-// runs concurrently with executors (the image is read through an epoch-pinned
-// snapshot); whole runs are serialized against each other. In-memory engines
-// return ErrNoCheckpointDir.
+// runs concurrently with executors (the image is read through a snapshot
+// pinned at the cut); whole runs are serialized against each other.
+// In-memory engines return ErrNoCheckpointDir.
 func (e *Engine) Checkpoint() (CheckpointStats, error) {
 	var stats CheckpointStats
 	if e.dir == "" {
@@ -177,15 +178,14 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 		return stats, err
 	}
 
-	// Latch the cut: commit epoch, WAL position, and active-transaction set
-	// move together under epochMu (see the package comment above and
-	// finishCommit). The snapshot pins E so the table scans below resolve
-	// exactly the image state no matter how far executors race ahead.
-	e.epochMu.Lock()
-	epoch := e.visibleEpoch.Load()
+	// Latch the cut under the commit latch (see the comment at the top of
+	// the file). Pinning the snapshot inside the latch also keeps the pruner
+	// from reclaiming history the image needs, however far executors race
+	// ahead before the table scans below.
+	e.commitMu.Lock()
 	cut, low, active := e.log.CheckpointCut()
-	snap := e.BeginSnapshot()
-	e.epochMu.Unlock()
+	snap := e.pinSnapshotLocked(cut - 1)
+	e.commitMu.Unlock()
 	defer snap.Release()
 
 	e.lastCkptMu.Lock()
@@ -199,16 +199,22 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 		return last, nil
 	}
 
+	// The image must hold only durable commits: force the log up to the cut.
+	e.log.Flush(cut - 1)
+	if err := e.commitDurable(cut - 1); err != nil {
+		return stats, fmt.Errorf("engine: flushing log to checkpoint cut %d: %w", cut, err)
+	}
+
 	tables, nextTID := e.catalogSnapshot()
 	nextTxn := e.nextTxn.Load()
 
-	stats.CutLSN, stats.LowLSN, stats.Epoch = cut, low, epoch
+	stats.CutLSN, stats.LowLSN = cut, low
 	stats.Tables = len(tables)
 
 	final := filepath.Join(e.dir, checkpointFileName(cut))
 	tmp := final + ".tmp"
 	written, records, err := e.writeCheckpointImage(tmp, tables, ckptHeader{
-		cut: cut, low: low, epoch: epoch, nextTxn: nextTxn, nextTID: nextTID, active: active,
+		cut: cut, low: low, nextTxn: nextTxn, nextTID: nextTID, active: active,
 	})
 	if err != nil {
 		return stats, err
@@ -232,7 +238,7 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 	binary.LittleEndian.PutUint64(meta[0:], uint64(cut))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(low))
 	if _, err := e.log.Append(&wal.Record{
-		Type: wal.RecCheckpoint, Epoch: epoch, After: meta, ActiveTxns: active,
+		Type: wal.RecCheckpoint, After: meta, ActiveTxns: active,
 	}); err != nil {
 		return stats, fmt.Errorf("engine: logging checkpoint record: %w", err)
 	}
@@ -333,7 +339,6 @@ func (e *Engine) catalogSnapshot() ([]*Table, uint32) {
 type ckptHeader struct {
 	cut     wal.LSN
 	low     wal.LSN
-	epoch   uint64
 	nextTxn uint64
 	nextTID uint32
 	active  map[wal.TxnID]wal.LSN
@@ -363,7 +368,6 @@ func (e *Engine) writeCheckpointImage(path string, tables []*Table, hdr ckptHead
 	head = appendU32(head, ckptVersion)
 	head = appendU64(head, uint64(hdr.cut))
 	head = appendU64(head, uint64(hdr.low))
-	head = appendU64(head, hdr.epoch)
 	head = appendU64(head, hdr.nextTxn)
 	head = appendU32(head, hdr.nextTID)
 	head = appendU32(head, uint32(len(tables)))
@@ -380,7 +384,7 @@ func (e *Engine) writeCheckpointImage(path string, tables []*Table, hdr ckptHead
 	}
 
 	// Table frames: the catalog entry, then the records visible at the
-	// image's epoch, batched into bounded frames.
+	// image's horizon (cut-1), batched into bounded frames.
 	total := 0
 	for _, tbl := range tables {
 		def, err := encodeTableDef(tbl.def)
@@ -395,7 +399,7 @@ func (e *Engine) writeCheckpointImage(path string, tables []*Table, hdr ckptHead
 		if err := emit(tf); err != nil {
 			return written, total, fmt.Errorf("engine: writing checkpoint table frame: %w", err)
 		}
-		n, err := e.writeTableRecords(emit, tbl, hdr.epoch)
+		n, err := e.writeTableRecords(emit, tbl, hdr.cut-1)
 		if err != nil {
 			return written, total, err
 		}
@@ -423,12 +427,12 @@ func (e *Engine) writeCheckpointImage(path string, tables []*Table, hdr ckptHead
 	return written, total, nil
 }
 
-// writeTableRecords scans the table at the image epoch through its primary
+// writeTableRecords scans the table at horizon h through its primary
 // index (the snapshot pin keeps the needed version history alive) and emits
 // the visible records as bounded batch frames of (RID, encoded tuple) pairs.
 // The RID recorded is the live heap RID the WAL's change records reference,
 // which is what lets recovery seed its RID remap table from the image.
-func (e *Engine) writeTableRecords(emit func([]byte) error, tbl *Table, epoch uint64) (int, error) {
+func (e *Engine) writeTableRecords(emit func([]byte) error, tbl *Table, h wal.LSN) (int, error) {
 	count := 0
 	batch := make([]byte, 0, ckptBatchBytes+4096)
 	nbatch := 0
@@ -454,7 +458,7 @@ func (e *Engine) writeTableRecords(emit func([]byte) error, tbl *Table, epoch ui
 		if lastKey != nil && bytes.Equal(en.Key, lastKey) {
 			return true
 		}
-		tu, rerr := tbl.resolveAtEpoch(en.RID, en.Key, epoch)
+		tu, rerr := tbl.resolveAt(en.RID, en.Key, h)
 		if rerr != nil {
 			if errors.Is(rerr, ErrNotFound) {
 				return true
@@ -628,17 +632,16 @@ func parseCkptHeader(p []byte) (ckptHeader, int, error) {
 		return h, 0, fmt.Errorf("unsupported version %d", v)
 	}
 	p = p[4:]
-	if len(p) < 8*4+4*2+4 {
+	if len(p) < 8*3+4*3 {
 		return h, 0, errors.New("short header")
 	}
 	h.cut = wal.LSN(binary.LittleEndian.Uint64(p[0:8]))
 	h.low = wal.LSN(binary.LittleEndian.Uint64(p[8:16]))
-	h.epoch = binary.LittleEndian.Uint64(p[16:24])
-	h.nextTxn = binary.LittleEndian.Uint64(p[24:32])
-	h.nextTID = binary.LittleEndian.Uint32(p[32:36])
-	ntables := int(binary.LittleEndian.Uint32(p[36:40]))
-	nactive := int(binary.LittleEndian.Uint32(p[40:44]))
-	p = p[44:]
+	h.nextTxn = binary.LittleEndian.Uint64(p[16:24])
+	h.nextTID = binary.LittleEndian.Uint32(p[24:28])
+	ntables := int(binary.LittleEndian.Uint32(p[28:32]))
+	nactive := int(binary.LittleEndian.Uint32(p[32:36]))
+	p = p[36:]
 	if len(p) != nactive*16 {
 		return h, 0, errors.New("active-transaction table length mismatch")
 	}

@@ -437,7 +437,11 @@ func TestCheckpointWithInFlightTransactionIsFuzzy(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestoresEpochAndTxnWatermarks(t *testing.T) {
+// After a checkpointed restart, a snapshot covers every pre-crash commit
+// (the reopened log's durable watermark is at or above the pre-crash
+// horizon), the transaction-id watermark comes back from the image header,
+// and the horizon advances with new commits.
+func TestCheckpointRestoresHorizonAndTxnWatermarks(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openAccountsSeg(t, dir, 1024)
 	if _, err := e.CreateTable(accountsDef()); err != nil {
@@ -456,33 +460,36 @@ func TestCheckpointRestoresEpochAndTxnWatermarks(t *testing.T) {
 			t.Fatalf("Commit: %v", err)
 		}
 	}
-	mustCheckpoint(t, e)
-	preEpoch := e.VisibleEpoch()
+	ck := mustCheckpoint(t, e)
+	pre := e.BeginSnapshot()
+	preHorizon := pre.Horizon()
+	pre.Release()
+	if preHorizon < ck.CutLSN-1 {
+		t.Fatalf("pre-crash horizon %d below the checkpoint cut %d", preHorizon, ck.CutLSN)
+	}
 	preTxn := e.nextTxn.Load()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Recovery starts from the image; the tail past the cut holds no END
-	// records, so both watermarks must come back from the image header.
+	// Recovery starts from the image; the tail past the cut holds no
+	// committed transaction, so the state comes from the image alone.
 	e2, stats := openAccountsSeg(t, dir, 1024)
 	defer e2.Close()
 	if stats.CheckpointLSN == 0 {
 		t.Fatalf("recovery did not use the checkpoint: %+v", stats)
-	}
-	if got := e2.VisibleEpoch(); got != preEpoch {
-		t.Fatalf("restored epoch = %d, want %d", got, preEpoch)
 	}
 	if got := e2.nextTxn.Load(); got < preTxn {
 		t.Fatalf("transaction-id watermark went backwards: %d < %d", got, preTxn)
 	}
 
 	// Version chains collapse to the heap base case: a snapshot at the
-	// restored epoch reads the image state, and a snapshot pinned before a
+	// restored horizon reads the image state, and a snapshot pinned before a
 	// post-restart commit still does.
 	snap := e2.BeginSnapshot()
-	if snap.Epoch() != preEpoch {
-		t.Fatalf("snapshot epoch = %d, want %d", snap.Epoch(), preEpoch)
+	restored := snap.Horizon()
+	if restored < preHorizon {
+		t.Fatalf("restored horizon %d is below the pre-crash horizon %d", restored, preHorizon)
 	}
 	if tu, err := snap.Probe("accounts", pkOf(1)); err != nil || tu[3].Float != 151 {
 		t.Fatalf("snapshot probe = %v, %v (want balance 151)", tu, err)
@@ -501,8 +508,13 @@ func TestCheckpointRestoresEpochAndTxnWatermarks(t *testing.T) {
 	if err := e2.Commit(txn); err != nil {
 		t.Fatalf("post-reopen Commit: %v", err)
 	}
-	if e2.VisibleEpoch() <= preEpoch {
-		t.Fatalf("epoch did not advance past the restored value: %d", e2.VisibleEpoch())
+	post := e2.BeginSnapshot()
+	defer post.Release()
+	if post.Horizon() <= restored {
+		t.Fatalf("horizon did not advance past the restored value: %d <= %d", post.Horizon(), restored)
+	}
+	if tu, err := post.Probe("accounts", pkOf(1)); err != nil || tu[3].Float != 9999 {
+		t.Fatalf("snapshot after post-reopen commit = %v, %v (want 9999)", tu, err)
 	}
 	if tu, err := old.Probe("accounts", pkOf(1)); err != nil || tu[3].Float != 151 {
 		t.Fatalf("pinned snapshot sees %v, %v, want the pre-commit balance 151", tu, err)

@@ -113,21 +113,20 @@ type Engine struct {
 	// once in-memory state is unrecoverable.
 	health atomic.Int32
 
-	// Multi-version read path: visibleEpoch is the commit epoch snapshots
-	// pin; epochMu serializes epoch assignment with version stamping so a
-	// transaction becomes visible atomically; snaps registers live snapshot
-	// epochs for the prune watermark; cleanups queues committed deletes'
-	// index cleanups (sorted by epoch) until the pruner may run them.
-	visibleEpoch atomic.Uint64
-	epochMu      sync.Mutex
-	snapMu       sync.Mutex
-	snaps        map[uint64]uint64
-	nextSnap     uint64
-	cleanMu      sync.Mutex
-	cleanups     []epochCleanup
-	prunerStop   chan struct{}
-	prunerDone   chan struct{}
-	prunerOnce   sync.Once
+	// Multi-version read path (mvcc.go): commitMu is the commit latch. A
+	// write transaction holds it across its COMMIT append while stamping its
+	// versions with the commit LSN, and snapshots and checkpoint cuts read
+	// the log horizon under it; it also guards snaps, the live snapshots'
+	// horizons for the prune watermark. cleanups queues committed deletes'
+	// index cleanups (sorted by commit LSN) until the pruner may run them.
+	commitMu   sync.Mutex
+	snaps      map[uint64]wal.LSN
+	nextSnap   uint64
+	cleanMu    sync.Mutex
+	cleanups   []commitCleanup
+	prunerStop chan struct{}
+	prunerDone chan struct{}
+	prunerOnce sync.Once
 	// prunerMu excludes pruner passes while recovery rebuilds tables (and
 	// resets their version stores) under a live engine — Recover replays into
 	// an engine whose pruner New already started.
@@ -202,7 +201,7 @@ func newEngine(cfg Config, log *wal.Manager) *Engine {
 		lm:       lockmgr.New(lmOpts...),
 		tables:   make(map[string]*Table),
 		tablesID: make(map[TableID]*Table),
-		snaps:    make(map[uint64]uint64),
+		snaps:    make(map[uint64]wal.LSN),
 	}
 	// The pruner is started by New/Open once the engine is fully assembled:
 	// recovery rebuilds tables (and resets their version stores) before any

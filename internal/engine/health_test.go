@@ -199,3 +199,91 @@ func TestConcurrentCommitsOnFailedDeviceStayTyped(t *testing.T) {
 		t.Fatalf("Health = %v, want degraded-read-only", got)
 	}
 }
+
+// A commit whose flush the device refuses leaves the transaction active with
+// its versions already stamped at the (never durable) commit LSN. The
+// caller's rollback must still restore the full pre-transaction image: the
+// heap, the version chains (no node of the transaction survives), and what a
+// fresh snapshot reads.
+func TestAbortAfterRefusedFlushRestoresPreTransactionImage(t *testing.T) {
+	e, fd := newFaultAccountsEngine(t)
+	tbl, err := e.Table("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := e.Begin()
+	rid1 := mustInsert(t, e, setup, 1, 1, "alice", 100)
+	rid2 := mustInsert(t, e, setup, 2, 1, "bob", 200)
+	if err := e.Commit(setup); err != nil {
+		t.Fatalf("setup Commit: %v", err)
+	}
+
+	writer := e.Begin()
+	if err := e.Update(writer, "accounts", pkOf(1), Conventional(), func(tu storage.Tuple) (storage.Tuple, error) {
+		tu[3] = storage.FloatValue(999)
+		return tu, nil
+	}); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := e.Delete(writer, "accounts", pkOf(2), Conventional()); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	rid3 := mustInsert(t, e, writer, 3, 1, "carol", 300)
+	e.Log().FlushAll()
+	fd.FailPermanently(nil)
+	if err := e.Commit(writer); !errors.Is(err, wal.ErrDeviceFailed) {
+		t.Fatalf("Commit with refused flush = %v, want ErrDeviceFailed", err)
+	}
+	if writer.State() != TxnActive {
+		t.Fatalf("unacknowledged writer state = %v, want active", writer.State())
+	}
+	if err := e.Abort(writer); err != nil {
+		t.Fatalf("Abort after refused flush: %v", err)
+	}
+
+	// Heap: the pre-transaction images, and no trace of the insert.
+	for _, want := range []struct {
+		rid storage.RID
+		bal float64
+	}{{rid1, 100}, {rid2, 200}} {
+		data, err := tbl.heap.get(want.rid)
+		if err != nil {
+			t.Fatalf("heap get %s: %v", want.rid, err)
+		}
+		tu, err := storage.DecodeTuple(data)
+		if err != nil || tu[3].Float != want.bal {
+			t.Fatalf("heap image at %s = %v, %v, want balance %v", want.rid, tu, err, want.bal)
+		}
+	}
+	if rid3 != rid1 && rid3 != rid2 {
+		if _, err := tbl.heap.get(rid3); err == nil {
+			t.Fatalf("rolled-back insert still in the heap at %s", rid3)
+		}
+	}
+
+	// Version chains: no node of the rolled-back transaction survives.
+	for _, rid := range []storage.RID{rid1, rid2, rid3} {
+		for v := tbl.versions.lookup(rid); v != nil; v = v.next.Load() {
+			if v.txn == writer.ID() {
+				t.Fatalf("version chain at %s still holds a node of the rolled-back txn", rid)
+			}
+		}
+	}
+
+	// A fresh snapshot reads the pre-transaction image.
+	snap := e.BeginSnapshot()
+	defer snap.Release()
+	for id, want := range map[int64]float64{1: 100, 2: 200} {
+		tu, err := snap.Probe("accounts", pkOf(id))
+		if err != nil || tu[3].Float != want {
+			t.Fatalf("snapshot probe %d = %v, %v, want balance %v", id, tu, err, want)
+		}
+	}
+	if _, err := snap.Probe("accounts", pkOf(3)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("snapshot sees the rolled-back insert: %v", err)
+	}
+	n := 0
+	if err := snap.ScanTable("accounts", func(storage.Tuple) bool { n++; return true }); err != nil || n != 2 {
+		t.Fatalf("snapshot scan = %d records, %v; want 2", n, err)
+	}
+}

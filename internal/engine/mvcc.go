@@ -1,26 +1,35 @@
-// Multi-version tuples and epoch-stamped snapshot reads.
+// Multi-version tuples and snapshot reads pinned at a log horizon.
 //
 // The heap keeps exactly one (possibly uncommitted) image per record, as
 // before — the OLTP write path stays allocation-free when no reader needs
 // history. Every writer additionally installs a version node in a per-table
-// sharded chain store before it mutates the heap; commit stamps the
-// transaction's nodes with a fresh commit epoch (advanced at group-commit,
-// under one mutex, so a whole transaction becomes visible atomically), and a
-// background pruner collapses chains back to nothing once no live snapshot
-// can need them.
+// sharded chain store before it mutates the heap, and a background pruner
+// collapses chains back to nothing once no live snapshot can need them.
 //
-// Visibility rule: a version is visible to a snapshot pinned at epoch E iff
-// its commit epoch is <= E; chains are newest-first, so the first committed
-// node at or below E wins, and a node with nil data means "the record does
-// not exist at this version". A record with no chain is entirely committed
-// and its heap image is the (sole) version, visible at every epoch.
+// One commit order serves durability and visibility: the LSN of a
+// transaction's COMMIT record. A write transaction stamps its nodes with that
+// LSN under the engine's commit latch, in the same critical section as the
+// append (appendCommit). A snapshot pins the log's durable watermark
+// (FlushedLSN), read under the same latch, as its horizon H. Every commit at
+// or below H is then both stamped and durable, and none above H is visible.
+// Early lock release cannot break this: a dependent reads its upstream's
+// write only after the upstream's COMMIT has its LSN, so the dependent's
+// commit LSN is higher, and no horizon covers the dependent without the
+// upstream. A commit whose flush is refused keeps an LSN the horizon never
+// reaches, so it stays invisible until the caller rolls it back.
+//
+// Visibility rule: a version is visible to a snapshot with horizon H iff its
+// commit LSN is <= H; chains are newest-first, so the first node at or below
+// H wins, and a node with nil data means "the record does not exist at this
+// version". A record with no chain is entirely committed and its heap image
+// is the (sole) version, visible at every horizon.
 //
 // The correctness of the no-chain fallback rests on two ordering rules:
 //
 //  1. Writers install the chain node (under the shard write lock) BEFORE the
 //     heap mutation, and rollback restores the heap BEFORE popping the
-//     pending node. A reader that reads the heap and then finds no chain
-//     (the shard mutex gives the happens-before edge) is therefore
+//     transaction's node. A reader that reads the heap and then finds no
+//     chain (the shard mutex gives the happens-before edge) is therefore
 //     guaranteed the heap bytes it read were committed.
 //  2. Inserts are the one case where heap bytes exist before the chain can
 //     (the RID is unknown until heap.insert returns). The only index path to
@@ -45,19 +54,20 @@ import (
 
 	"dora/internal/btree"
 	"dora/internal/storage"
+	"dora/internal/wal"
 )
 
-// pendingEpoch marks a version whose transaction has not committed yet. It
-// compares greater than every snapshot epoch, so pending versions are never
-// visible.
-const pendingEpoch = math.MaxUint64
+// uncommitted marks a version whose transaction has not appended its commit
+// record yet. It compares greater than every horizon, so such versions are
+// never visible.
+const uncommitted = math.MaxUint64
 
 // version is one node of a record's version chain, newest-first.
 type version struct {
-	// epoch is the commit epoch, or pendingEpoch while the installing
-	// transaction is active. Stamped exactly once, at group-commit.
-	epoch atomic.Uint64
-	// txn is the installing transaction (meaningful while pending).
+	// commit is the LSN of the installing transaction's COMMIT record, or
+	// uncommitted before it. Stamped exactly once, at the commit append.
+	commit atomic.Uint64
+	// txn is the installing transaction.
 	txn uint64
 	// data is the encoded tuple image of this version; nil means the record
 	// does not exist at this version (a delete, or the pre-insert base).
@@ -66,6 +76,9 @@ type version struct {
 	// truncate a chain under concurrent walkers.
 	next atomic.Pointer[version]
 }
+
+// visibleAt reports whether the version is visible at horizon h.
+func (v *version) visibleAt(h wal.LSN) bool { return v.commit.Load() <= uint64(h) }
 
 // versionShards is the number of locks the chain map is striped over.
 const versionShards = 64
@@ -100,15 +113,15 @@ func (vs *versionStore) shard(rid storage.RID) *versionShard {
 // the heap (ordering rule 1 above).
 func (vs *versionStore) install(rid storage.RID, txnID uint64, data, base []byte) *version {
 	v := &version{txn: txnID, data: data}
-	v.epoch.Store(pendingEpoch)
+	v.commit.Store(uncommitted)
 	sh := vs.shard(rid)
 	sh.mu.Lock()
 	head := sh.chains[rid.Key()]
 	switch {
 	case head == nil:
-		bn := &version{data: base} // epoch 0: visible below every snapshot epoch
+		bn := &version{data: base} // commit 0: visible at every horizon
 		v.next.Store(bn)
-	case head.epoch.Load() == pendingEpoch && head.txn == txnID:
+	case head.commit.Load() == uncommitted && head.txn == txnID:
 		v.next.Store(head.next.Load())
 	default:
 		v.next.Store(head)
@@ -118,14 +131,16 @@ func (vs *versionStore) install(rid storage.RID, txnID uint64, data, base []byte
 	return v
 }
 
-// popPending removes the transaction's pending head from the record's chain,
-// if present (rollback and insert-failure paths). Callers must restore the
-// heap before popping (ordering rule 1 above).
-func (vs *versionStore) popPending(rid storage.RID, txnID uint64) {
+// popTxn removes the transaction's head nodes from the record's chain, if
+// present (rollback and insert-failure paths). It matches by installing
+// transaction alone: after a commit whose flush was refused, the nodes carry
+// a commit LSN no horizon will reach, and the rollback must still remove
+// them. Callers must restore the heap before popping (ordering rule 1 above).
+func (vs *versionStore) popTxn(rid storage.RID, txnID uint64) {
 	sh := vs.shard(rid)
 	sh.mu.Lock()
 	head := sh.chains[rid.Key()]
-	for head != nil && head.epoch.Load() == pendingEpoch && head.txn == txnID {
+	for head != nil && head.txn == txnID {
 		head = head.next.Load()
 	}
 	if head == nil {
@@ -146,13 +161,13 @@ func (vs *versionStore) lookup(rid storage.RID) *version {
 }
 
 // prune reclaims history no snapshot at or above the watermark can see: a
-// chain whose head committed at or below the watermark is dropped entirely
-// (the heap image equals the head), and otherwise everything below the first
-// committed node at or below the watermark is truncated. The per-chain
-// lengths are reported to the collector. Chains whose head is a committed
-// delete are only reached here after the caller ran the due index cleanups
-// (phase A), preserving ordering rule 2 above.
-func (vs *versionStore) prune(wm uint64, observe func(chainLen int)) {
+// chain whose head is visible at the watermark is dropped entirely (the heap
+// image equals the head), and otherwise everything below the first node
+// visible at the watermark is truncated. The per-chain lengths are reported
+// to the collector. Chains whose head is a committed delete are only reached
+// here after the caller ran the due index cleanups (phase A), preserving
+// ordering rule 2 above.
+func (vs *versionStore) prune(wm wal.LSN, observe func(chainLen int)) {
 	for i := range vs.shards {
 		sh := &vs.shards[i]
 		sh.mu.Lock()
@@ -164,12 +179,12 @@ func (vs *versionStore) prune(wm uint64, observe func(chainLen int)) {
 			if observe != nil {
 				observe(n)
 			}
-			if head.epoch.Load() <= wm {
+			if head.visibleAt(wm) {
 				delete(sh.chains, key)
 				continue
 			}
 			for v := head; v != nil; v = v.next.Load() {
-				if v.epoch.Load() <= wm {
+				if v.visibleAt(wm) {
 					v.next.Store(nil)
 					break
 				}
@@ -179,7 +194,7 @@ func (vs *versionStore) prune(wm uint64, observe func(chainLen int)) {
 	}
 }
 
-// resolveAtEpoch returns the record's image as of the given epoch via the
+// resolveAt returns the record's image as of the given horizon via the
 // index entry with the given primary key, or ErrNotFound if the record is not
 // visible there. The heap is read BEFORE the chain lookup: if no chain exists
 // afterwards, the shard mutex guarantees the heap bytes were committed
@@ -189,16 +204,16 @@ func (vs *versionStore) prune(wm uint64, observe func(chainLen int)) {
 // logical records, delimited by nil-data delete nodes; a version below the
 // boundary belongs to the slot's previous owner. Chain-resolved tuples are
 // therefore checked against the entry's key, and a mismatch means "this key's
-// record is not visible at this epoch" — the previous owner's own (flagged)
+// record is not visible at this horizon" — the previous owner's own (flagged)
 // entry is the path that legitimately reaches its versions. The no-chain heap
 // fallback needs no check: a live entry always matches the committed record
 // at its RID, and a flagged entry outlives its chain only until the pruner's
 // phase A, which the caller's read latch holds off (ordering rule 2).
-func (t *Table) resolveAtEpoch(rid storage.RID, pk storage.Key, epoch uint64) (storage.Tuple, error) {
+func (t *Table) resolveAt(rid storage.RID, pk storage.Key, h wal.LSN) (storage.Tuple, error) {
 	heapData, heapErr := t.heap.get(rid)
 	if head := t.versions.lookup(rid); head != nil {
 		for v := head; v != nil; v = v.next.Load() {
-			if v.epoch.Load() <= epoch {
+			if v.visibleAt(h) {
 				if v.data == nil {
 					return nil, ErrNotFound
 				}
@@ -220,17 +235,17 @@ func (t *Table) resolveAtEpoch(rid storage.RID, pk storage.Key, epoch uint64) (s
 	return storage.DecodeTuple(heapData)
 }
 
-// epochCleanup is one deferred physical index cleanup of a committed delete,
-// runnable once the prune watermark reaches its commit epoch.
-type epochCleanup struct {
-	epoch  uint64
+// commitCleanup is one deferred physical index cleanup of a committed
+// delete, runnable once the prune watermark reaches its commit LSN.
+type commitCleanup struct {
+	lsn    wal.LSN
 	tbl    *Table
 	before storage.Tuple
 	rid    storage.RID
 }
 
 // indexCleanup is a transaction-local deferred cleanup, moved onto the
-// engine's epoch-stamped queue at commit and dropped on abort.
+// engine's LSN-stamped queue at commit and dropped on abort.
 type indexCleanup struct {
 	tbl    *Table
 	before storage.Tuple
@@ -245,48 +260,50 @@ type pendingVersion struct {
 	v   *version
 }
 
-// VisibleEpoch returns the engine's current commit epoch: the epoch a
-// snapshot beginning now would pin.
-func (e *Engine) VisibleEpoch() uint64 { return e.visibleEpoch.Load() }
-
-// Snapshot is a read-only view of the engine pinned at one commit epoch. Its
+// Snapshot is a read-only view of the engine pinned at one log horizon. Its
 // reads take no lock-manager locks and no executor-queue latching; they are
 // wait-free with respect to writers. Release it when done so the pruner can
 // reclaim the history it pins.
 type Snapshot struct {
 	eng      *Engine
 	id       uint64
-	epoch    uint64
+	horizon  wal.LSN
 	released atomic.Bool
 }
 
-// BeginSnapshot pins the current commit epoch and registers the snapshot with
-// the pruner's watermark.
+// BeginSnapshot pins the log's durable watermark as the snapshot's horizon.
+// Reading it under the commit latch guarantees every commit at or below it
+// has stamped its versions (see the top of the file).
 func (e *Engine) BeginSnapshot() *Snapshot {
-	e.snapMu.Lock()
-	e.nextSnap++
-	id := e.nextSnap
-	epoch := e.visibleEpoch.Load()
-	e.snaps[id] = epoch
-	e.snapMu.Unlock()
-	return &Snapshot{eng: e, id: id, epoch: epoch}
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	return e.pinSnapshotLocked(e.log.FlushedLSN())
 }
 
-// Epoch returns the snapshot's pinned commit epoch.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
+// pinSnapshotLocked registers a snapshot at horizon h with the pruner's
+// watermark. The caller holds commitMu.
+func (e *Engine) pinSnapshotLocked(h wal.LSN) *Snapshot {
+	e.nextSnap++
+	e.snaps[e.nextSnap] = h
+	return &Snapshot{eng: e, id: e.nextSnap, horizon: h}
+}
+
+// Horizon returns the snapshot's pinned log horizon: it sees exactly the
+// transactions whose commit LSN is at or below it.
+func (s *Snapshot) Horizon() wal.LSN { return s.horizon }
 
 // Release unpins the snapshot. Idempotent.
 func (s *Snapshot) Release() {
 	if s.released.Swap(true) {
 		return
 	}
-	s.eng.snapMu.Lock()
+	s.eng.commitMu.Lock()
 	delete(s.eng.snaps, s.id)
-	s.eng.snapMu.Unlock()
+	s.eng.commitMu.Unlock()
 }
 
 // Probe reads the record with the given primary key as of the snapshot's
-// epoch. Flagged index entries are considered too — the version chain, not
+// horizon. Flagged index entries are considered too — the version chain, not
 // the flag, decides visibility — and each candidate is resolved in-callback
 // under the index read latch (ordering rule 2 above).
 func (s *Snapshot) Probe(table string, pk storage.Key) (storage.Tuple, error) {
@@ -297,7 +314,7 @@ func (s *Snapshot) Probe(table string, pk storage.Key) (storage.Tuple, error) {
 	var out storage.Tuple
 	var innerErr error
 	tbl.primary.SearchEach(pk, func(en btree.Entry) bool {
-		tu, rerr := tbl.resolveAtEpoch(en.RID, en.Key, s.epoch)
+		tu, rerr := tbl.resolveAt(en.RID, en.Key, s.horizon)
 		if rerr != nil {
 			if errors.Is(rerr, ErrNotFound) {
 				return true
@@ -318,14 +335,14 @@ func (s *Snapshot) Probe(table string, pk storage.Key) (storage.Tuple, error) {
 	return out, nil
 }
 
-// ScanTable visits every record visible at the snapshot's epoch in
+// ScanTable visits every record visible at the snapshot's horizon in
 // primary-key order, invoking fn until it returns false.
 func (s *Snapshot) ScanTable(table string, fn func(storage.Tuple) bool) error {
 	return s.ScanPrefix(table, nil, fn)
 }
 
 // ScanPrefix visits, in key order, every record visible at the snapshot's
-// epoch whose primary key starts with the given prefix (nil scans the whole
+// horizon whose primary key starts with the given prefix (nil scans the whole
 // table). fn runs with the index read latch held, as every snapshot read
 // does; it must not write through the engine.
 func (s *Snapshot) ScanPrefix(table string, prefix storage.Key, fn func(storage.Tuple) bool) error {
@@ -344,7 +361,7 @@ func (s *Snapshot) ScanPrefix(table string, prefix storage.Key, fn func(storage.
 		if lastKey != nil && bytes.Equal(en.Key, lastKey) {
 			return true
 		}
-		tu, rerr := tbl.resolveAtEpoch(en.RID, en.Key, s.epoch)
+		tu, rerr := tbl.resolveAt(en.RID, en.Key, s.horizon)
 		if rerr != nil {
 			if errors.Is(rerr, ErrNotFound) {
 				return true
@@ -363,28 +380,32 @@ func (s *Snapshot) ScanPrefix(table string, prefix storage.Key, fn func(storage.
 }
 
 // enqueueCleanups moves a committed transaction's deferred index cleanups
-// onto the pruner's queue, stamped with the commit epoch. Called under
-// epochMu, so the queue stays sorted by epoch.
-func (e *Engine) enqueueCleanups(cs []indexCleanup, epoch uint64) {
+// onto the pruner's queue, stamped with the commit LSN. Called under
+// commitMu, so the queue stays sorted by LSN.
+func (e *Engine) enqueueCleanups(cs []indexCleanup, lsn wal.LSN) {
+	if len(cs) == 0 {
+		return
+	}
 	e.cleanMu.Lock()
 	for _, c := range cs {
-		e.cleanups = append(e.cleanups, epochCleanup{epoch: epoch, tbl: c.tbl, before: c.before, rid: c.rid})
+		e.cleanups = append(e.cleanups, commitCleanup{lsn: lsn, tbl: c.tbl, before: c.before, rid: c.rid})
 	}
 	e.cleanMu.Unlock()
 }
 
-// pruneWatermark returns the highest epoch whose history is reclaimable: the
-// minimum over all live snapshots, or the visible epoch when none are live.
-func (e *Engine) pruneWatermark() uint64 {
-	wm := e.visibleEpoch.Load()
-	e.snapMu.Lock()
-	for _, epoch := range e.snaps {
-		if epoch < wm {
-			wm = epoch
-		}
+// pruneWatermark returns the current horizon (the durable watermark a
+// snapshot beginning now would pin) and the highest horizon whose history is
+// reclaimable: the minimum over all live snapshots, or the current horizon
+// when none are live.
+func (e *Engine) pruneWatermark() (horizon, wm wal.LSN) {
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	horizon = e.log.FlushedLSN()
+	wm = horizon
+	for _, h := range e.snaps {
+		wm = min(wm, h)
 	}
-	e.snapMu.Unlock()
-	return wm
+	return horizon, wm
 }
 
 // prunePass runs one reclamation pass: phase A removes the flagged index
@@ -395,13 +416,13 @@ func (e *Engine) pruneWatermark() uint64 {
 func (e *Engine) prunePass() {
 	e.prunerMu.Lock()
 	defer e.prunerMu.Unlock()
-	wm := e.pruneWatermark()
+	horizon, wm := e.pruneWatermark()
 	col := e.Collector()
-	col.ObservePruneLag(int(e.visibleEpoch.Load() - wm))
+	col.ObservePruneLag(int(horizon - wm))
 
 	e.cleanMu.Lock()
 	due := 0
-	for due < len(e.cleanups) && e.cleanups[due].epoch <= wm {
+	for due < len(e.cleanups) && e.cleanups[due].lsn <= wm {
 		due++
 	}
 	batch := e.cleanups[:due]

@@ -28,7 +28,7 @@ func balanceAt(t *testing.T, snap *Snapshot, id int64) (float64, bool) {
 	return tu[3].Float, true
 }
 
-// A snapshot pins the database state at its begin epoch: later updates,
+// A snapshot pins the database state at its begin horizon: later updates,
 // inserts, and deletes stay invisible to it, while a snapshot begun after the
 // commits sees all of them.
 func TestSnapshotIsolatesFromLaterWrites(t *testing.T) {
@@ -128,7 +128,7 @@ func TestSnapshotNeverSeesUncommittedWrites(t *testing.T) {
 }
 
 // The pruner never reclaims versions a live snapshot still needs: the
-// watermark is the minimum pinned epoch, so history at or above it survives
+// watermark is the minimum pinned horizon, so history at or above it survives
 // any number of passes, and is reclaimed once the snapshot releases.
 func TestPrunerNeverReclaimsPinnedEpoch(t *testing.T) {
 	e, tbl := newAccountsEngine(t)
@@ -158,7 +158,7 @@ func TestPrunerNeverReclaimsPinnedEpoch(t *testing.T) {
 		t.Fatalf("pinned snapshot sees (%v, %v) after pruning, want 100", bal, ok)
 	}
 
-	// The pinned snapshot holds the watermark at its epoch: the chain keeps
+	// The pinned snapshot holds the watermark at its horizon: the chain keeps
 	// exactly the history above it (10 committed updates) plus the anchor.
 	var rid storage.RID
 	if en, ok := tbl.primary.SearchUnique(pkOf(1)); ok {
@@ -221,7 +221,7 @@ func TestPrunerBoundsChainLengthUnderChurn(t *testing.T) {
 // A snapshot pinned before a delete commits keeps resolving the record
 // through its flagged index entry; the flagged entry and the chain are only
 // reclaimed once the snapshot releases, and a reused primary key resolves to
-// whichever version the epoch selects.
+// whichever version the horizon selects.
 func TestSnapshotResolvesThroughFlaggedEntries(t *testing.T) {
 	e, _ := newAccountsEngine(t)
 	defer e.Close()
@@ -238,7 +238,7 @@ func TestSnapshotResolvesThroughFlaggedEntries(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 	mustCommit(t, e, txn)
-	e.PruneNow() // must not reclaim: preDelete pins the pre-delete epoch
+	e.PruneNow() // must not reclaim: preDelete pins the pre-delete horizon
 
 	postDelete := e.BeginSnapshot()
 	defer postDelete.Release()
@@ -261,7 +261,7 @@ func TestSnapshotResolvesThroughFlaggedEntries(t *testing.T) {
 		t.Fatalf("post-reinsert snapshot sees (%v, %v), want 500", bal, ok)
 	}
 
-	// Scans agree with probes at each epoch, and never emit duplicates.
+	// Scans agree with probes at each horizon, and never emit duplicates.
 	for _, tc := range []struct {
 		snap *Snapshot
 		want int
@@ -271,7 +271,7 @@ func TestSnapshotResolvesThroughFlaggedEntries(t *testing.T) {
 			t.Fatalf("ScanTable: %v", err)
 		}
 		if n != tc.want {
-			t.Fatalf("scan at epoch %d saw %d records, want %d", tc.snap.Epoch(), n, tc.want)
+			t.Fatalf("scan at horizon %d saw %d records, want %d", tc.snap.Horizon(), n, tc.want)
 		}
 	}
 
@@ -348,8 +348,8 @@ func TestSnapshotConsistencyUnderConcurrentTransfers(t *testing.T) {
 			t.Errorf("snapshot scan: %v", err)
 		}
 		if n != accounts || total != accounts*perAccount {
-			t.Errorf("snapshot at epoch %d: %d accounts totaling %v, want %d totaling %v",
-				snap.Epoch(), n, total, accounts, accounts*perAccount)
+			t.Errorf("snapshot at horizon %d: %d accounts totaling %v, want %d totaling %v",
+				snap.Horizon(), n, total, accounts, accounts*perAccount)
 		}
 		snap.Release()
 		if t.Failed() {

@@ -70,8 +70,8 @@ func decodeTableDef(data []byte) (TableDef, error) {
 // Open opens (or creates) a file-backed engine rooted at the given log
 // directory and runs true restart recovery. When the directory holds a valid
 // checkpoint image (see checkpoint.go), recovery loads the newest usable image
-// — catalog, heaps, MVCC epoch and id watermarks — and replays only the log
-// tail filtered against the image's cut, so restart work is bounded by the
+// — catalog, heaps and id watermarks — and replays only the log tail
+// filtered against the image's cut, so restart work is bounded by the
 // work done since the last checkpoint rather than by log length. A torn or
 // corrupt image falls back to the next-older one, and with no usable image an
 // untruncated log is replayed in full from LSN 1: the catalog is rebuilt from
@@ -181,20 +181,10 @@ func Open(dir string, cfg Config) (*Engine, wal.RecoveryStats, error) {
 		nextTxn = ck.nextTxn
 	}
 	e.nextTxn.Store(nextTxn)
-	// Resume the commit epoch above every replayed END record's epoch and the
-	// image's epoch, so post-restart snapshots order after every pre-crash
-	// commit. Version chains rebuild empty: after replay each surviving heap
-	// image is its record's latest committed version — the no-chain base case.
-	var maxEpoch uint64
-	for _, r := range img.Records {
-		if r.Type == wal.RecEnd && r.Epoch > maxEpoch {
-			maxEpoch = r.Epoch
-		}
-	}
-	if ck != nil && ck.epoch > maxEpoch {
-		maxEpoch = ck.epoch
-	}
-	e.visibleEpoch.Store(maxEpoch)
+	// Version chains rebuild empty: after replay each surviving heap image is
+	// its record's latest committed version — the no-chain base case, visible
+	// at every horizon. Snapshots pin the reopened log's durable watermark,
+	// and new commits append above it.
 	e.startPruner()
 	e.startCheckpointer(cfg.CheckpointEvery)
 	return e, stats, nil

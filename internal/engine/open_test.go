@@ -293,11 +293,11 @@ func TestOpenRejectsRecoveryOnClosedManagerSemantics(t *testing.T) {
 	}
 }
 
-// Restart-then-snapshot: the reopened engine restores the commit epoch from
-// the replayed END records, rebuilds version chains collapsed to the latest
-// committed version (the no-chain heap base), and serves consistent
-// epoch-pinned snapshots that order after every pre-crash commit.
-func TestOpenRestoresCommitEpochForSnapshots(t *testing.T) {
+// Restart-then-snapshot: the reopened engine's snapshots pin the reopened
+// log's durable watermark, which covers every pre-crash commit. Version
+// chains rebuild collapsed to the latest committed version (the no-chain heap
+// base), and the horizon advances past the restored one with new commits.
+func TestOpenRestoresSnapshotHorizon(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openAccounts(t, dir)
 	if _, err := e.CreateTable(accountsDef()); err != nil {
@@ -320,9 +320,11 @@ func TestOpenRestoresCommitEpochForSnapshots(t *testing.T) {
 			t.Fatalf("Commit %d: %v", i, err)
 		}
 	}
-	preCrashEpoch := e.VisibleEpoch()
-	if preCrashEpoch == 0 {
-		t.Fatal("commit epoch never advanced")
+	pre := e.BeginSnapshot()
+	preCrash := pre.Horizon()
+	pre.Release()
+	if preCrash == 0 {
+		t.Fatal("snapshot horizon never advanced")
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -330,14 +332,13 @@ func TestOpenRestoresCommitEpochForSnapshots(t *testing.T) {
 
 	e2, _ := openAccounts(t, dir)
 	defer e2.Close()
-	if got := e2.VisibleEpoch(); got != preCrashEpoch {
-		t.Fatalf("restored epoch = %d, want %d", got, preCrashEpoch)
-	}
 
-	// A snapshot over the reopened engine sees the latest committed state.
+	// A snapshot over the reopened engine covers every pre-crash commit and
+	// sees the latest committed state.
 	snap := e2.BeginSnapshot()
-	if snap.Epoch() != preCrashEpoch {
-		t.Fatalf("snapshot epoch = %d, want %d", snap.Epoch(), preCrashEpoch)
+	restored := snap.Horizon()
+	if restored < preCrash {
+		t.Fatalf("restored horizon %d is below the pre-crash horizon %d", restored, preCrash)
 	}
 	tu, err := snap.Probe("accounts", pkOf(1))
 	if err != nil || tu[3].Float != 250 {
@@ -345,8 +346,8 @@ func TestOpenRestoresCommitEpochForSnapshots(t *testing.T) {
 	}
 	snap.Release()
 
-	// New commits advance past the restored epoch, and a snapshot pinned
-	// before them still reads the replayed state.
+	// New commits advance the horizon past the restored one, and a snapshot
+	// pinned before them still reads the replayed state.
 	old := e2.BeginSnapshot()
 	defer old.Release()
 	txn2 := e2.Begin()
@@ -359,8 +360,13 @@ func TestOpenRestoresCommitEpochForSnapshots(t *testing.T) {
 	if err := e2.Commit(txn2); err != nil {
 		t.Fatalf("post-reopen Commit: %v", err)
 	}
-	if e2.VisibleEpoch() <= preCrashEpoch {
-		t.Fatalf("epoch did not advance past restored value: %d", e2.VisibleEpoch())
+	post := e2.BeginSnapshot()
+	defer post.Release()
+	if post.Horizon() <= restored {
+		t.Fatalf("horizon did not advance past the restored value: %d <= %d", post.Horizon(), restored)
+	}
+	if tu, err := post.Probe("accounts", pkOf(1)); err != nil || tu[3].Float != 999 {
+		t.Fatalf("snapshot after post-reopen commit = %v, %v (want 999)", tu, err)
 	}
 	if tu, err := old.Probe("accounts", pkOf(1)); err != nil || tu[3].Float != 250 {
 		t.Fatalf("pinned snapshot after post-reopen commit = %v, %v (want 250)", tu, err)

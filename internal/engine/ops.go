@@ -24,7 +24,7 @@ type AccessOptions struct {
 	// WorkerID attributes the access in record-access traces (Figure 10).
 	WorkerID int
 	// Snapshot routes reads (Probe, ScanPrefix, ScanTable) through the given
-	// epoch-pinned snapshot instead of the locked heap path; writes ignore
+	// horizon-pinned snapshot instead of the locked heap path; writes ignore
 	// it. Snapshot reads take no lock-manager locks at all.
 	Snapshot *Snapshot
 }
@@ -262,7 +262,7 @@ func (e *Engine) Insert(t *Txn, table string, tuple storage.Tuple, opt AccessOpt
 	t.addPending(tbl, rid, tbl.versions.install(rid, t.id, data, nil))
 	if err := tbl.insertIndexEntries(tuple, rid); err != nil {
 		tbl.heap.delete(rid)
-		tbl.versions.popPending(rid, t.id)
+		tbl.versions.popTxn(rid, t.id)
 		return storage.InvalidRID, err
 	}
 	rec := newRecord()
@@ -275,7 +275,7 @@ func (e *Engine) Insert(t *Txn, table string, tuple storage.Tuple, opt AccessOpt
 		recycleRecord(rec)
 		tbl.removeIndexEntries(tuple, rid)
 		tbl.heap.delete(rid)
-		tbl.versions.popPending(rid, t.id)
+		tbl.versions.popTxn(rid, t.id)
 		return storage.InvalidRID, err
 	}
 	t.recordChange(rec)
@@ -339,9 +339,9 @@ func (e *Engine) Delete(t *Txn, table string, pk storage.Key, opt AccessOptions)
 	}
 	tbl.markIndexEntriesDeleted(before, rid, true)
 	// Physical removal of the flagged entries is deferred past commit, onto
-	// the pruner's epoch queue: the flagged entry is the only index path by
+	// the pruner's LSN-stamped queue: the flagged entry is the only index path by
 	// which an old snapshot reaches the record's version chain, so it must
-	// outlive every snapshot pinned below the delete's commit epoch.
+	// outlive every snapshot pinned below the delete's commit LSN.
 	t.addCleanup(tbl, before, rid)
 	e.emitTrace(opt.WorkerID, tbl, before, rid)
 	return nil

@@ -162,20 +162,5 @@ func (e *Engine) Recover(log *wal.Manager) (wal.RecoveryStats, error) {
 	if err != nil {
 		return wal.RecoveryStats{}, err
 	}
-	stats, err := e.replayImage(log, img, nil)
-	if err != nil {
-		return stats, err
-	}
-	// Resume the commit epoch above every replayed END record, as Open does,
-	// so snapshots taken after recovery order after every pre-crash commit.
-	var maxEpoch uint64
-	for _, r := range img.Records {
-		if r.Type == wal.RecEnd && r.Epoch > maxEpoch {
-			maxEpoch = r.Epoch
-		}
-	}
-	if maxEpoch > e.visibleEpoch.Load() {
-		e.visibleEpoch.Store(maxEpoch)
-	}
-	return stats, nil
+	return e.replayImage(log, img, nil)
 }

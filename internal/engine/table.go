@@ -28,7 +28,7 @@ type Table struct {
 	pkCols    []int
 	routeCols []int
 
-	// versions holds the table's record version chains for epoch-pinned
+	// versions holds the table's record version chains for horizon-pinned
 	// snapshot reads (see mvcc.go).
 	versions *versionStore
 

@@ -58,14 +58,11 @@ type Txn struct {
 	// walks it backwards. It mirrors the transaction's log chain without
 	// re-reading the log device.
 	undo []*wal.Record
-	// onCommit holds deferred physical cleanups that run only if the
-	// transaction commits.
-	onCommit []func()
 	// pending tracks the version-chain nodes this transaction installed, for
-	// commit-epoch stamping and rollback popping (mvcc.go).
+	// commit-LSN stamping and rollback popping (mvcc.go).
 	pending []pendingVersion
 	// cleanups holds the flagged-index-entry removals of this transaction's
-	// deletes; commit moves them onto the engine's epoch-stamped queue (the
+	// deletes; commit moves them onto the engine's LSN-stamped queue (the
 	// pruner runs them once no snapshot can still need the flagged entries),
 	// abort drops them.
 	cleanups []indexCleanup
@@ -102,12 +99,40 @@ func (e *Engine) appendTxn(t *Txn, r *wal.Record) (wal.LSN, error) {
 
 // appendMarker logs one pooled bodyless record (BEGIN/COMMIT/ABORT/END) on
 // the transaction's chain and recycles it.
-func (e *Engine) appendMarker(t *Txn, typ wal.RecordType, epoch uint64) (wal.LSN, error) {
+func (e *Engine) appendMarker(t *Txn, typ wal.RecordType) (wal.LSN, error) {
 	r := newRecord()
-	r.Txn, r.Type, r.Epoch = t.walID(), typ, epoch
+	r.Txn, r.Type = t.walID(), typ
 	lsn, err := e.appendTxn(t, r)
 	recycleRecord(r)
 	return lsn, err
+}
+
+// appendCommit appends the transaction's COMMIT record. The record's LSN is
+// the engine's one commit order, serving durability and visibility alike: a
+// write transaction appends under the commit latch and, in the same critical
+// section, stamps every version it installed with that LSN and queues its
+// index cleanups at it. Whoever takes the latch afterwards (BeginSnapshot,
+// the pruner, a checkpoint cut) therefore finds every commit record in the
+// log already stamped. Read-only transactions have nothing to stamp and skip
+// the latch.
+func (e *Engine) appendCommit(t *Txn) (wal.LSN, error) {
+	t.mu.Lock()
+	pending, cleanups := t.pending, t.cleanups
+	t.mu.Unlock()
+	if len(pending) == 0 && len(cleanups) == 0 {
+		return e.appendMarker(t, wal.RecCommit)
+	}
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	lsn, err := e.appendMarker(t, wal.RecCommit)
+	if err != nil {
+		return lsn, err
+	}
+	for _, p := range pending {
+		p.v.commit.Store(uint64(lsn))
+	}
+	e.enqueueCleanups(cleanups, lsn)
+	return lsn, nil
 }
 
 // Begin starts a new transaction. If the engine's log has been closed the
@@ -123,7 +148,7 @@ func (e *Engine) Begin() *Txn {
 		t.state = TxnAborted
 		return t
 	}
-	if _, err := e.appendMarker(t, wal.RecBegin, 0); err != nil {
+	if _, err := e.appendMarker(t, wal.RecBegin); err != nil {
 		e.noteLogError(err)
 		if !errors.Is(err, wal.ErrDeviceFailed) {
 			t.state = TxnAborted
@@ -152,13 +177,6 @@ func (t *Txn) walID() wal.TxnID      { return wal.TxnID(t.id) }
 func (t *Txn) recordChange(r *wal.Record) {
 	t.mu.Lock()
 	t.undo = append(t.undo, r)
-	t.mu.Unlock()
-}
-
-// deferOnCommit registers a cleanup to run if the transaction commits.
-func (t *Txn) deferOnCommit(fn func()) {
-	t.mu.Lock()
-	t.onCommit = append(t.onCommit, fn)
 	t.mu.Unlock()
 }
 
@@ -196,15 +214,14 @@ func (t *Txn) ensureActive() error {
 }
 
 // Commit makes the transaction durable: it forces the log up to the commit
-// record (riding the group-commit flusher's next device write), applies
-// deferred index cleanups, and releases the transaction's centralized locks.
-// The caller blocks anyway, so it waits on the flush inline rather than
-// paying CommitAsync's relay goroutine.
+// record (riding the group-commit flusher's next device write) and releases
+// the transaction's centralized locks. The caller blocks anyway, so it waits
+// on the flush inline rather than paying CommitAsync's relay goroutine.
 func (e *Engine) Commit(t *Txn) error {
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
-	commitLSN, err := e.appendMarker(t, wal.RecCommit, 0)
+	commitLSN, err := e.appendCommit(t)
 	if err != nil {
 		e.noteLogError(err)
 		// A read-only transaction has nothing that needs durability; let it
@@ -224,7 +241,8 @@ func (e *Engine) Commit(t *Txn) error {
 	// successful write+sync), not by the global error latch — a later
 	// flush's failure must not un-acknowledge an earlier durable commit. The
 	// transaction stays active so the caller can still roll it back in
-	// memory.
+	// memory; its stamped versions stay invisible meanwhile, as no snapshot
+	// horizon can pass a commit LSN the log never made durable.
 	if err := e.commitDurable(commitLSN); err != nil {
 		e.noteLogError(err)
 		return fmt.Errorf("engine: commit of txn %d not durable: %w", t.id, err)
@@ -233,10 +251,10 @@ func (e *Engine) Commit(t *Txn) error {
 	return nil
 }
 
-// commitDurable reports whether the log can vouch for the commit record at
-// the given LSN after its flush wakeup.
-func (e *Engine) commitDurable(commitLSN wal.LSN) error {
-	if e.log.FlushedLSN() >= commitLSN {
+// commitDurable reports whether the log can vouch for the record at the
+// given LSN (a commit record, or a checkpoint cut) after its flush wakeup.
+func (e *Engine) commitDurable(lsn wal.LSN) error {
+	if e.log.FlushedLSN() >= lsn {
 		return nil
 	}
 	if err := e.log.Err(); err != nil {
@@ -247,11 +265,10 @@ func (e *Engine) commitDurable(commitLSN wal.LSN) error {
 
 // CommitAsync initiates a commit without blocking the caller on the log
 // flush: it appends the commit record and registers with the group-commit
-// flusher; once the record is durable, post-commit processing (index
-// cleanups, centralized lock release, the END record) runs and done(err) is
-// invoked, usually on a background goroutine. This is what lets a DORA
-// executor dispatch a commit and immediately continue with other
-// transactions' actions.
+// flusher; once the record is durable, post-commit processing (centralized
+// lock release, the END record) runs and done(err) is invoked, usually on a
+// background goroutine. This is what lets a DORA executor dispatch a commit
+// and immediately continue with other transactions' actions.
 func (e *Engine) CommitAsync(t *Txn, done func(error)) {
 	e.CommitAsyncEarly(t, nil, done)
 }
@@ -266,14 +283,16 @@ func (e *Engine) CommitAsync(t *Txn, done func(error)) {
 // Releasing the transaction's local locks in early() is therefore safe — a
 // dependent can run, commit, and even reach its own early() while this
 // transaction awaits the flush, but its durability ack necessarily trails
-// ours. early() never runs on a path that reports an error: a commit refused
-// at the append keeps its locks for the caller's rollback.
+// ours. The same order governs visibility: a snapshot's horizon is a durable
+// LSN, so one that sees the dependent's commit sees this one's too.
+// early() never runs on a path that reports an error: a commit refused at
+// the append keeps its locks for the caller's rollback.
 func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
 	if err := t.ensureActive(); err != nil {
 		done(err)
 		return
 	}
-	commitLSN, err := e.appendMarker(t, wal.RecCommit, 0)
+	commitLSN, err := e.appendCommit(t)
 	if err != nil {
 		e.noteLogError(err)
 		if errors.Is(err, wal.ErrDeviceFailed) && t.readOnly() {
@@ -312,13 +331,13 @@ func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
 }
 
 // finishCommit runs post-commit processing once the commit record is durable.
+// The versions were already stamped at the append (appendCommit); what is
+// left is to release the centralized locks and append the END record
+// (best-effort: recovery treats the commit record as authoritative).
 func (e *Engine) finishCommit(t *Txn) {
 	t.mu.Lock()
-	cleanups := t.onCommit
-	pending := t.pending
-	icleanups := t.cleanups
 	undo := t.undo
-	t.onCommit, t.pending, t.cleanups, t.undo = nil, nil, nil, nil
+	t.pending, t.cleanups, t.undo = nil, nil, nil
 	t.state = TxnCommitted
 	t.mu.Unlock()
 	// The change records were only retained for a rollback that can no longer
@@ -326,41 +345,8 @@ func (e *Engine) finishCommit(t *Txn) {
 	for _, r := range undo {
 		recycleRecord(r)
 	}
-	for _, fn := range cleanups {
-		fn()
-	}
-	// Group-commit epoch advance: assign the next epoch, stamp every version
-	// the transaction installed, then publish the epoch — all under one
-	// mutex, so a snapshot pinning the epoch either sees none of the
-	// transaction's versions (pinned below) or all of them (pinned at or
-	// above). Read-only transactions skip this entirely and do not advance
-	// the epoch.
-	//
-	// The END record (best-effort: recovery treats the commit record as
-	// authoritative, and a log closed mid-shutdown just loses the epoch hint)
-	// is appended while still holding epochMu. A fuzzy checkpoint latches its
-	// commit epoch and the log's active-transaction set under this same mutex
-	// (Checkpoint), so a write transaction is either visible at the pinned
-	// epoch AND ended in the log (its effects live in the image, its tail
-	// records are skipped on replay) or neither — never both, which would
-	// replay its effects on top of an image that already contains them.
-	if len(pending) > 0 || len(icleanups) > 0 {
-		e.epochMu.Lock()
-		epoch := e.visibleEpoch.Load() + 1
-		for _, p := range pending {
-			p.v.epoch.Store(epoch)
-		}
-		if len(icleanups) > 0 {
-			e.enqueueCleanups(icleanups, epoch)
-		}
-		e.visibleEpoch.Store(epoch)
-		e.appendMarker(t, wal.RecEnd, epoch) //nolint:errcheck
-		e.epochMu.Unlock()
-		e.lm.ReleaseAll(t.lockID())
-		return
-	}
 	e.lm.ReleaseAll(t.lockID())
-	e.appendMarker(t, wal.RecEnd, 0) //nolint:errcheck
+	e.appendMarker(t, wal.RecEnd) //nolint:errcheck
 }
 
 // Abort rolls the transaction back: every change is undone youngest-first with
@@ -371,13 +357,12 @@ func (e *Engine) Abort(t *Txn) error {
 	}
 	// Rollback proceeds in memory even when the log is closed (the undo list
 	// is in hand); the compensation records below are then best-effort.
-	e.appendMarker(t, wal.RecAbort, 0) //nolint:errcheck
+	e.appendMarker(t, wal.RecAbort) //nolint:errcheck
 
 	t.mu.Lock()
 	undo := t.undo
 	pending := t.pending
 	t.undo = nil
-	t.onCommit = nil
 	t.pending = nil
 	t.cleanups = nil
 	t.state = TxnAborted
@@ -402,14 +387,16 @@ func (e *Engine) Abort(t *Txn) error {
 	for _, r := range undo {
 		recycleRecord(r)
 	}
-	// Pop the transaction's pending versions only after the undo loop has
-	// restored the heap: a snapshot reader that finds no chain trusts the
-	// heap image as committed (mvcc.go ordering rule 1).
+	// Pop the transaction's versions only after the undo loop has restored
+	// the heap: a snapshot reader that finds no chain trusts the heap image
+	// as committed (mvcc.go ordering rule 1). After a commit whose flush was
+	// refused they are already stamped with its never-durable commit LSN, so
+	// the pop goes by installing transaction, not by the pending stamp.
 	for _, p := range pending {
-		p.tbl.versions.popPending(p.rid, t.id)
+		p.tbl.versions.popTxn(p.rid, t.id)
 	}
 	e.lm.ReleaseAll(t.lockID())
-	e.appendMarker(t, wal.RecEnd, 0) //nolint:errcheck
+	e.appendMarker(t, wal.RecEnd) //nolint:errcheck
 	if col := e.Collector(); col != nil {
 		col.TxnAborted()
 	}

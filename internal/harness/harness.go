@@ -181,16 +181,16 @@ type Result struct {
 	// run, in order.
 	Rebalances []dora.RebalanceEvent
 
-	// SnapshotReads is the number of record reads served from epoch-pinned
+	// SnapshotReads is the number of record reads served from horizon-pinned
 	// snapshots during the run (zero when nothing used the snapshot path).
 	SnapshotReads uint64
 	// ChainLength is the version-chain-length histogram the pruner observed
 	// during the run: how much multi-version history writers accumulated
 	// between reclamation passes.
 	ChainLength metrics.HistogramSnapshot
-	// PruneLag is the histogram of visible-epoch-to-watermark distance at
-	// each pruner pass (epochs): how far reclamation trailed commits,
-	// widened by long-lived snapshots.
+	// PruneLag is the histogram of horizon-to-watermark distance at each
+	// pruner pass, in log bytes (LSN distance, not epochs): how far
+	// reclamation trailed commits, widened by long-lived snapshots.
 	PruneLag metrics.HistogramSnapshot
 
 	// InvariantErr is the post-run verdict of the workload's consistency

@@ -211,11 +211,12 @@ type Collector struct {
 
 	// Multi-version read-path instrumentation: chainLen is the version-chain
 	// length of each record the pruner visited (how much history writers have
-	// piled up), pruneLag the epoch distance between the visible epoch and the
-	// prune watermark at each pruner pass (how far reclamation trails behind
-	// commits, widened by long-lived snapshots), and snapshotReads the number
-	// of record reads served from epoch-pinned snapshots without any lock- or
-	// queue-manager involvement.
+	// piled up), pruneLag the log distance (LSN bytes) between the current
+	// snapshot horizon and the prune watermark at each pruner pass (how far
+	// reclamation trails behind commits, widened by long-lived snapshots),
+	// and snapshotReads the number of record reads served from
+	// horizon-pinned snapshots without any lock- or queue-manager
+	// involvement.
 	chainLen      Histogram
 	pruneLag      Histogram
 	snapshotReads atomic.Uint64
@@ -371,8 +372,8 @@ func (m *Collector) ObserveChainLength(n int) {
 	m.chainLen.Observe(n)
 }
 
-// ObservePruneLag records the visible-epoch-to-watermark distance of one
-// pruner pass.
+// ObservePruneLag records the horizon-to-watermark distance of one pruner
+// pass, in log bytes (LSN distance).
 func (m *Collector) ObservePruneLag(n int) {
 	if m == nil || n < 0 {
 		return
@@ -380,7 +381,7 @@ func (m *Collector) ObservePruneLag(n int) {
 	m.pruneLag.Observe(n)
 }
 
-// AddSnapshotReads records n record reads served from an epoch-pinned
+// AddSnapshotReads records n record reads served from a horizon-pinned
 // snapshot.
 func (m *Collector) AddSnapshotReads(n int) {
 	if m == nil {
@@ -394,7 +395,7 @@ func (m *Collector) ChainLength() HistogramSnapshot {
 	return m.chainLen.Snapshot()
 }
 
-// PruneLag returns the prune-lag histogram (epochs).
+// PruneLag returns the prune-lag histogram (log bytes of LSN distance).
 func (m *Collector) PruneLag() HistogramSnapshot {
 	return m.pruneLag.Snapshot()
 }

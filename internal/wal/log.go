@@ -714,8 +714,8 @@ func (m *Manager) CurrentLSN() LSN {
 // activeMu here against Append's BEGIN registration (which spans the LSN
 // reservation) guarantees every transaction with a record below the cut is
 // either registered or already ended. The engine calls this while holding its
-// epoch mutex, so the active set and the cut are consistent with the commit
-// epoch the checkpoint image is taken at.
+// commit latch, so every COMMIT record below the cut has already stamped its
+// transaction's versions and the image can be read at horizon cut-1.
 func (m *Manager) CheckpointCut() (cut, low LSN, active map[TxnID]LSN) {
 	m.activeMu.Lock()
 	defer m.activeMu.Unlock()

@@ -101,13 +101,6 @@ type Record struct {
 	// CLR compensates).
 	UndoNext LSN
 
-	// Epoch is used by END records of committed transactions: the commit
-	// epoch stamped on the transaction's versions. It is assigned after the
-	// commit record is durable (the epoch counter advances at group-commit),
-	// which is why it cannot ride the COMMIT record itself. Recovery restores
-	// the engine's visible epoch from the maximum over all END records.
-	Epoch uint64
-
 	// ActiveTxns is used by checkpoint records: the transactions active at
 	// checkpoint time and their last LSNs.
 	ActiveTxns map[TxnID]LSN
@@ -120,7 +113,6 @@ func (r *Record) encodedSize() int {
 		8 + 8 + 8 + 1 + // lsn, prevLSN, txn, type
 		4 + 4 + 2 + // tableID, rid.page, rid.slot
 		8 + // undoNext
-		8 + // epoch
 		4 + len(r.Before) +
 		4 + len(r.After) +
 		4 + len(r.ActiveTxns)*16
@@ -147,8 +139,6 @@ func (r *Record) encode(dst []byte) []byte {
 	binary.LittleEndian.PutUint16(b8[:2], r.RID.Slot)
 	dst = append(dst, b8[:2]...)
 	binary.LittleEndian.PutUint64(b8[:], uint64(r.UndoNext))
-	dst = append(dst, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], r.Epoch)
 	dst = append(dst, b8[:]...)
 	binary.LittleEndian.PutUint32(b8[:4], uint32(len(r.Before)))
 	dst = append(dst, b8[:4]...)
@@ -185,7 +175,7 @@ func decodeRecord(data []byte) (*Record, int, error) {
 		}
 		return nil
 	}
-	if err := need(8 + 8 + 8 + 1 + 4 + 4 + 2 + 8 + 8); err != nil {
+	if err := need(8 + 8 + 8 + 1 + 4 + 4 + 2 + 8); err != nil {
 		return nil, 0, err
 	}
 	r.LSN = LSN(binary.LittleEndian.Uint64(buf[:8]))
@@ -203,8 +193,6 @@ func decodeRecord(data []byte) (*Record, int, error) {
 	r.RID.Slot = binary.LittleEndian.Uint16(buf[:2])
 	buf = buf[2:]
 	r.UndoNext = LSN(binary.LittleEndian.Uint64(buf[:8]))
-	buf = buf[8:]
-	r.Epoch = binary.LittleEndian.Uint64(buf[:8])
 	buf = buf[8:]
 
 	if err := need(4); err != nil {

@@ -116,15 +116,19 @@ func (m *Manager) Scan() (*LogImage, error) {
 // ApplyCheckpoint narrows a scanned image to the records that must replay on
 // top of a checkpoint image taken at cut with the given active-transaction set
 // (transaction id -> first LSN, as latched by CheckpointCut and stored in the
-// image header). A transaction replays iff it was active at the cut or its
-// first record sits at or above the cut; every other transaction completed
-// before the cut with a commit epoch at or below the image's — its effects are
-// already in the image (or netted out to nothing by a finished rollback), so
-// replaying its tail records would double-apply them. Non-transactional
-// records (schema, checkpoint markers) are kept; MaxTxn keeps its value over
-// the full tail so id assignment still resumes above everything scanned.
+// image header). The image holds exactly the transactions whose COMMIT record
+// sits below the cut: commit LSNs are the engine's one commit order, and the
+// image is read at horizon cut-1. Such a transaction is skipped even when it
+// was still active at the cut (its END record landing after it), since
+// replaying its tail records would double-apply effects the image contains.
+// Every other transaction replays iff it was active at the cut or its first
+// record sits at or above the cut; one that ended below the cut without
+// committing netted out to nothing. Non-transactional records (schema,
+// checkpoint markers) are kept; MaxTxn keeps its value over the full tail so
+// id assignment still resumes above everything scanned.
 func (img *LogImage) ApplyCheckpoint(cut LSN, active map[TxnID]LSN) {
 	first := make(map[TxnID]LSN)
+	inImage := make(map[TxnID]bool)
 	for _, r := range img.Records {
 		if r.Txn == 0 {
 			continue
@@ -132,8 +136,14 @@ func (img *LogImage) ApplyCheckpoint(cut LSN, active map[TxnID]LSN) {
 		if _, ok := first[r.Txn]; !ok {
 			first[r.Txn] = r.LSN
 		}
+		if r.Type == RecCommit && r.LSN < cut {
+			inImage[r.Txn] = true
+		}
 	}
 	replayable := func(txn TxnID) bool {
+		if inImage[txn] {
+			return false
+		}
 		if _, ok := active[txn]; ok {
 			return true
 		}

@@ -2,12 +2,14 @@ package tpcc
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dora/internal/engine"
+	"dora/internal/storage"
 	"dora/internal/wal"
 	"dora/internal/workload"
 )
@@ -172,5 +174,90 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 				t.Fatalf("§3.3.2 checker after post-restart traffic (%s): %v", point, err)
 			}
 		})
+	}
+}
+
+// A transaction whose COMMIT record sits below a checkpoint's cut is in the
+// image even when its END record lands after the cut, leaving it in the
+// cut's active set. Here a NewOrder is checkpointed from inside its early
+// lock release callback, which runs between the COMMIT append and the END.
+// Restart from that image must not replay the NewOrder on top of it: its
+// rows appear exactly once and the §3.3.2 checker passes.
+func TestCheckpointCommitBelowCutAppliedOnce(t *testing.T) {
+	dir := t.TempDir()
+	d, e, _ := newCkptBacked(t, dir)
+	rng := rand.New(rand.NewSource(17))
+	runMix(t, d, e, rng, 50)
+
+	var txn *engine.Txn
+	for {
+		txn = e.Begin()
+		err := d.newOrderConventional(e, txn, d.genNewOrder(rng), engine.Conventional())
+		if err == nil {
+			break
+		}
+		e.Abort(txn) //nolint:errcheck
+		if !abortable(err) {
+			t.Fatalf("NewOrder: %v", err)
+		}
+	}
+	var ck engine.CheckpointStats
+	var ckErr error
+	done := make(chan error, 1)
+	e.CommitAsyncEarly(txn, func() { ck, ckErr = e.Checkpoint() }, func(err error) { done <- err })
+	if err := <-done; err != nil {
+		t.Fatalf("NewOrder commit: %v", err)
+	}
+	if ckErr != nil {
+		t.Fatalf("checkpoint inside the commit: %v", ckErr)
+	}
+
+	// The scenario under test: COMMIT below the cut, END after it.
+	recs, err := e.Log().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var commitLSN, endLSN wal.LSN
+	for _, r := range recs {
+		if r.Txn != wal.TxnID(txn.ID()) {
+			continue
+		}
+		switch r.Type {
+		case wal.RecCommit:
+			commitLSN = r.LSN
+		case wal.RecEnd:
+			endLSN = r.LSN
+		}
+	}
+	if commitLSN == 0 || commitLSN >= ck.CutLSN || endLSN <= ck.CutLSN {
+		t.Fatalf("COMMIT at %d, END at %d, cut at %d: want COMMIT below the cut and END after it",
+			commitLSN, endLSN, ck.CutLSN)
+	}
+
+	counts := func(e *engine.Engine) map[string]int {
+		snap := e.BeginSnapshot()
+		defer snap.Release()
+		out := make(map[string]int)
+		for _, name := range []string{"ORDERS", "NEW_ORDER", "ORDER_LINE"} {
+			if err := snap.ScanTable(name, func(storage.Tuple) bool { out[name]++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	want := counts(e)
+	e.Log().FlushAll()
+	crashDir := snapshotDir(t, dir)
+
+	d2, e2, stats := newCkptBacked(t, crashDir)
+	defer e2.Close()
+	if stats.CheckpointLSN != ck.CutLSN {
+		t.Fatalf("recovery started from cut %d, want the in-commit checkpoint's %d", stats.CheckpointLSN, ck.CutLSN)
+	}
+	if got := counts(e2); !maps.Equal(got, want) {
+		t.Fatalf("row counts after restart = %v, want %v", got, want)
+	}
+	if err := d2.Check(e2); err != nil {
+		t.Fatalf("§3.3.2 checker after restart: %v", err)
 	}
 }

@@ -65,7 +65,7 @@ type Driver struct {
 
 	// LockedStockLevel runs DORA StockLevel through the flow-graph path with
 	// warehouse-wide shared claims on ORDER_LINE and STOCK (the pre-snapshot
-	// behavior) instead of the epoch-pinned snapshot scan. Kept for the A/B
+	// behavior) instead of the horizon-pinned snapshot scan. Kept for the A/B
 	// arm of the HTAP benchmark; the default (false) never blocks writers.
 	LockedStockLevel bool
 

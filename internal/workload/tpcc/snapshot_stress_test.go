@@ -14,7 +14,7 @@ import (
 )
 
 // ytdAggregate sums W_YTD per warehouse and D_YTD per warehouse over one
-// epoch-pinned snapshot.
+// horizon-pinned snapshot.
 func ytdAggregate(snap *engine.Snapshot) (wYTD, dYTDSum map[int64]float64, err error) {
 	wYTD = make(map[int64]float64)
 	if err = snap.ScanTable("WAREHOUSE", func(tu storage.Tuple) bool {
@@ -36,10 +36,10 @@ func ytdAggregate(snap *engine.Snapshot) (wYTD, dYTDSum map[int64]float64, err e
 // TestSnapshotAggregationStress runs concurrent Payment/NewOrder writers
 // through DORA against repeated snapshot aggregations and requires the §3.3.2
 // Payment-conservation invariant W_YTD = Σ D_YTD to hold WITHIN every
-// snapshot, at its pinned epoch — even though Payment updates the warehouse
+// snapshot, at its pinned horizon — even though Payment updates the warehouse
 // and district rows in separate actions on different executors. A
-// non-versioned read would routinely catch the mid-transaction state; an
-// epoch-pinned one must never.
+// non-versioned read would routinely catch the mid-transaction state; a
+// horizon-pinned one must never.
 func TestSnapshotAggregationStress(t *testing.T) {
 	d, _, sys := newLoaded(t, true)
 
@@ -85,8 +85,8 @@ func TestSnapshotAggregationStress(t *testing.T) {
 			}
 			for w, ytd := range wYTD {
 				if !workload.FloatClose(ytd, dYTDSum[w]) {
-					t.Errorf("snapshot at epoch %d: warehouse %d W_YTD=%.2f but Σ D_YTD=%.2f",
-						snap.Epoch(), w, ytd, dYTDSum[w])
+					t.Errorf("snapshot at horizon %d: warehouse %d W_YTD=%.2f but Σ D_YTD=%.2f",
+						snap.Horizon(), w, ytd, dYTDSum[w])
 				}
 			}
 			return nil

@@ -77,11 +77,11 @@ func countLowStock(items map[int64]struct{}, in stockLevelInput, probe func(stor
 	return low, nil
 }
 
-// stockLevelSnapshot runs StockLevel against one epoch-pinned snapshot,
+// stockLevelSnapshot runs StockLevel against one horizon-pinned snapshot,
 // outside the executors entirely: the ranged ORDER_LINE scan and the STOCK
 // probes take no local-lock-table entries and no incoming-queue latches, so
 // the transaction never contends with NewOrder/Payment writers and writers
-// never wait on it. All reads resolve at the same commit epoch, which is
+// never wait on it. All reads resolve at the same log horizon, which is
 // strictly stronger than the flow-graph variant's isolation (that one holds
 // shared claims across phases). This is the default DORA StockLevel path.
 func (d *Driver) stockLevelSnapshot(sys *dora.System, in stockLevelInput) (int64, error) {

@@ -20,6 +20,8 @@ func newLoaded(t testing.TB, withDORA bool) (*Driver, *engine.Engine, *dora.Syst
 	d.CustomersPerDistrict = 30
 	d.Items = 100
 	e := engine.New(engine.Config{BufferPoolFrames: 4096})
+	// Cleanups run last-in first-out, so the DORA system stops first.
+	t.Cleanup(func() { e.Close() })
 	if err := d.CreateTables(e); err != nil {
 		t.Fatalf("CreateTables: %v", err)
 	}
