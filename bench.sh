@@ -18,6 +18,9 @@
 # (locks held to durability vs early lock release, gated on invariants,
 # crash-recovery equivalence, and shorter lock holds under ELR).
 #
+# BENCH_tm1.json and BENCH_tpcc.json carry a host stamp: commit, Go version,
+# GOMAXPROCS and nproc.
+#
 # Usage: ./bench.sh [tm1.json] [tpcc.json] [skew.json] [durability.json] [htap.json] [crash.json] [overload.json] [commit.json]
 #   BENCHTIME=2s ./bench.sh        # longer measurement interval
 #   SKEW_FLAGS="-skew-windows 6 -skew-window 150ms" ./bench.sh   # faster skew run
@@ -35,6 +38,12 @@ out_crash=${6:-BENCH_crash.json}
 out_overload=${7:-BENCH_overload.json}
 out_commit=${8:-BENCH_commit.json}
 benchtime=${BENCHTIME:-1s}
+# Host stamp for the go-test JSON files: the numbers belong to this source
+# tree ("-dirty" marks uncommitted changes), toolchain and CPU budget.
+commit=$(git describe --always --dirty 2>/dev/null || echo none)
+goversion=$(go env GOVERSION)
+ncpu=$(nproc)
+gomaxprocs=${GOMAXPROCS:-$ncpu}
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
@@ -42,9 +51,10 @@ trap 'rm -f "$raw"' EXIT
 # mix must pass the consistency-invariant checker on both execution systems.
 go run ./cmd/dorabench -fig check -txns 800
 
-# Convert `name  iters  value ns/op  v1 unit1  v2 unit2 …` lines into JSON.
+# Convert `name  iters  value ns/op  v1 unit1  v2 unit2 …` lines into JSON,
+# headed by the host stamp.
 bench_to_json() {
-  awk '
+  awk -v commit="$commit" -v goversion="$goversion" -v gomaxprocs="$gomaxprocs" -v ncpu="$ncpu" '
   /^Benchmark/ {
       name = $1
       sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
@@ -57,13 +67,17 @@ bench_to_json() {
       printf "}"
       sep = ",\n"
   }
-  BEGIN { print "{" ; printf "  \"benchtime\": \"'"$benchtime"'\",\n  \"results\": [\n" }
+  BEGIN {
+      print "{"
+      printf "  \"commit\": \"%s\",\n  \"go\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"nproc\": %s,\n", commit, goversion, gomaxprocs, ncpu
+      printf "  \"benchtime\": \"'"$benchtime"'\",\n  \"results\": [\n"
+  }
   END   { print "\n  ]\n}" }
   ' "$1" > "$2"
 }
 
 go test -run '^$' -bench 'BenchmarkTM1Throughput|BenchmarkExecutorQueue|BenchmarkGroupCommit|BenchmarkWALAppendParallel' \
-  -benchtime "$benchtime" . | tee "$raw"
+  -benchmem -benchtime "$benchtime" . | tee "$raw"
 bench_to_json "$raw" "$out_tm1"
 echo "wrote $out_tm1"
 

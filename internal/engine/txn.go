@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -69,10 +68,10 @@ type Txn struct {
 }
 
 // recordPool recycles wal.Record allocations: the ops path builds one record
-// per mutation and the commit path four markers per transaction, which at
-// high throughput is the dominant allocation on the critical path. A record
-// may be recycled as soon as Append returns — the manager encodes it into the
-// log buffer synchronously and retains no reference.
+// per mutation and a write transaction three markers (BEGIN, COMMIT, END),
+// which at high throughput is the dominant allocation on the critical path.
+// A record may be recycled as soon as Append returns — the manager encodes it
+// into the log buffer synchronously and retains no reference.
 var recordPool = sync.Pool{New: func() any { return new(wal.Record) }}
 
 // newRecord returns a zeroed record from the pool.
@@ -85,10 +84,24 @@ func recycleRecord(r *wal.Record) {
 }
 
 // appendTxn appends one record on the transaction's behalf, threading the
-// transaction's PrevLSN chain through it.
+// transaction's PrevLSN chain through it. The transaction's BEGIN is written
+// here, just before its first record: a transaction that never changes
+// anything never touches the log (see Begin). The BEGIN goes through
+// wal.Manager.Append like any record, which registers the transaction in the
+// log's active set atomically against a checkpoint cut.
 func (e *Engine) appendTxn(t *Txn, r *wal.Record) (wal.LSN, error) {
 	t.chainMu.Lock()
 	defer t.chainMu.Unlock()
+	if t.lastLSN == wal.NilLSN {
+		b := newRecord()
+		b.Txn, b.Type = t.walID(), wal.RecBegin
+		lsn, err := e.log.Append(b)
+		recycleRecord(b)
+		if err != nil {
+			return lsn, err
+		}
+		t.lastLSN = lsn
+	}
 	r.PrevLSN = t.lastLSN
 	lsn, err := e.log.Append(r)
 	if err == nil {
@@ -97,8 +110,8 @@ func (e *Engine) appendTxn(t *Txn, r *wal.Record) (wal.LSN, error) {
 	return lsn, err
 }
 
-// appendMarker logs one pooled bodyless record (BEGIN/COMMIT/ABORT/END) on
-// the transaction's chain and recycles it.
+// appendMarker logs one pooled bodyless record (COMMIT/ABORT/END) on the
+// transaction's chain and recycles it.
 func (e *Engine) appendMarker(t *Txn, typ wal.RecordType) (wal.LSN, error) {
 	r := newRecord()
 	r.Txn, r.Type = t.walID(), typ
@@ -107,21 +120,18 @@ func (e *Engine) appendMarker(t *Txn, typ wal.RecordType) (wal.LSN, error) {
 	return lsn, err
 }
 
-// appendCommit appends the transaction's COMMIT record. The record's LSN is
-// the engine's one commit order, serving durability and visibility alike: a
-// write transaction appends under the commit latch and, in the same critical
+// appendCommit appends a write transaction's COMMIT record (read-only
+// transactions append none; see Commit). The record's LSN is the engine's
+// one commit order, serving durability and visibility alike: the
+// transaction appends under the commit latch and, in the same critical
 // section, stamps every version it installed with that LSN and queues its
 // index cleanups at it. Whoever takes the latch afterwards (BeginSnapshot,
 // the pruner, a checkpoint cut) therefore finds every commit record in the
-// log already stamped. Read-only transactions have nothing to stamp and skip
-// the latch.
+// log already stamped.
 func (e *Engine) appendCommit(t *Txn) (wal.LSN, error) {
 	t.mu.Lock()
 	pending, cleanups := t.pending, t.cleanups
 	t.mu.Unlock()
-	if len(pending) == 0 && len(cleanups) == 0 {
-		return e.appendMarker(t, wal.RecCommit)
-	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	lsn, err := e.appendMarker(t, wal.RecCommit)
@@ -135,24 +145,20 @@ func (e *Engine) appendCommit(t *Txn) (wal.LSN, error) {
 	return lsn, nil
 }
 
-// Begin starts a new transaction. If the engine's log has been closed the
-// returned transaction is already aborted and every operation on it fails
-// with ErrTxnDone. If the log device has failed permanently the transaction
-// starts active but unlogged: reads work, state-changing operations are
-// refused with ErrReadOnly, and a read-only commit succeeds without touching
-// the log — degraded read-only service instead of a dead engine.
+// Begin starts a new transaction. It appends nothing: the BEGIN record is
+// written lazily, just before the transaction's first change record
+// (appendTxn), so a read-only transaction never touches the log. If the
+// engine is Failed or its log has been closed, the returned transaction is
+// already aborted and every operation on it fails with ErrTxnDone. On a
+// degraded engine (log device failed permanently) it starts active and stays
+// unlogged: reads work, state-changing operations are refused with
+// ErrReadOnly, and a read-only commit succeeds — degraded read-only service
+// instead of a dead engine.
 func (e *Engine) Begin() *Txn {
 	id := e.nextTxn.Add(1)
 	t := &Txn{id: id, engine: e, state: TxnActive}
-	if Health(e.health.Load()) == HealthFailed {
+	if Health(e.health.Load()) == HealthFailed || e.log.Closed() {
 		t.state = TxnAborted
-		return t
-	}
-	if _, err := e.appendMarker(t, wal.RecBegin); err != nil {
-		e.noteLogError(err)
-		if !errors.Is(err, wal.ErrDeviceFailed) {
-			t.state = TxnAborted
-		}
 	}
 	return t
 }
@@ -196,12 +202,20 @@ func (t *Txn) addCleanup(tbl *Table, before storage.Tuple, rid storage.RID) {
 
 // readOnly reports whether the transaction has made no changes — nothing to
 // undo, no versions installed, no deferred cleanups. A read-only transaction
-// needs no durable commit record, which is what lets it commit on a degraded
-// (read-only) engine whose log device is gone.
+// commits without a commit record (see Commit), which also lets it commit on
+// a degraded (read-only) engine whose log device is gone.
 func (t *Txn) readOnly() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.undo) == 0 && len(t.pending) == 0 && len(t.cleanups) == 0
+}
+
+// logged reports whether the transaction has written its BEGIN record. Only
+// a logged transaction appends the ABORT and END records that close it.
+func (t *Txn) logged() bool {
+	t.chainMu.Lock()
+	defer t.chainMu.Unlock()
+	return t.lastLSN != wal.NilLSN
 }
 
 func (t *Txn) ensureActive() error {
@@ -217,22 +231,22 @@ func (t *Txn) ensureActive() error {
 // record (riding the group-commit flusher's next device write) and releases
 // the transaction's centralized locks. The caller blocks anyway, so it waits
 // on the flush inline rather than paying CommitAsync's relay goroutine.
+//
+// A read-only transaction appends no COMMIT record, and no END either, as it
+// wrote no BEGIN (a change record the log refused leaves a BEGIN behind only
+// on a failed or closed log). It waits instead until the log is durable up
+// to its read point, the last byte appended before it commits (see
+// commitPoint), and returns at once when that is already durable.
 func (e *Engine) Commit(t *Txn) error {
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
-	commitLSN, err := e.appendCommit(t)
+	lsn, err := e.commitPoint(t)
 	if err != nil {
 		e.noteLogError(err)
-		// A read-only transaction has nothing that needs durability; let it
-		// commit on a degraded engine so snapshot-free readers keep working.
-		if errors.Is(err, wal.ErrDeviceFailed) && t.readOnly() {
-			e.finishCommit(t)
-			return nil
-		}
 		return fmt.Errorf("engine: logging commit of txn %d: %w", t.id, err)
 	}
-	if wait := e.log.FlushAsync(commitLSN); wait != nil {
+	if wait := e.log.FlushAsync(lsn); wait != nil {
 		<-wait
 	}
 	// A failed device wakes waiters without making them durable; never
@@ -243,7 +257,7 @@ func (e *Engine) Commit(t *Txn) error {
 	// transaction stays active so the caller can still roll it back in
 	// memory; its stamped versions stay invisible meanwhile, as no snapshot
 	// horizon can pass a commit LSN the log never made durable.
-	if err := e.commitDurable(commitLSN); err != nil {
+	if err := e.commitDurable(lsn); err != nil {
 		e.noteLogError(err)
 		return fmt.Errorf("engine: commit of txn %d not durable: %w", t.id, err)
 	}
@@ -261,6 +275,34 @@ func (e *Engine) commitDurable(lsn wal.LSN) error {
 		return err
 	}
 	return wal.ErrClosed
+}
+
+// commitPoint fixes the transaction's place in the commit order and returns
+// the LSN the log must make durable before the commit is acknowledged. A
+// write transaction appends its COMMIT record (appendCommit). A read-only
+// transaction appends nothing; its point is its read point, the last byte
+// the log has assigned. Whatever it read was written by a transaction whose
+// COMMIT record already had its LSN — under early lock release a writer's
+// locks are released only after its COMMIT append, and otherwise only after
+// its COMMIT is durable — so that COMMIT sits at or below the read point.
+// Waiting for it makes a read-only commit never acknowledge data that a
+// crash, or a failed flush, could roll back, while writing nothing itself:
+// Aether's rule for read-only transactions under early lock release (Johnson
+// et al., PVLDB 2010).
+//
+// On an engine already degraded by a failed log device a read-only commit
+// waits for nothing (NilLSN is always durable) and succeeds: degraded
+// read-only service. The check reads the health state, not the log, so a
+// failure the engine has not yet observed makes the commit wait and report
+// the failure like a write commit would.
+func (e *Engine) commitPoint(t *Txn) (wal.LSN, error) {
+	if !t.readOnly() {
+		return e.appendCommit(t)
+	}
+	if e.Health() == HealthDegradedReadOnly {
+		return wal.NilLSN, nil
+	}
+	return e.log.CurrentLSN() - 1, nil
 }
 
 // CommitAsync initiates a commit without blocking the caller on the log
@@ -286,33 +328,24 @@ func (e *Engine) CommitAsync(t *Txn, done func(error)) {
 // ours. The same order governs visibility: a snapshot's horizon is a durable
 // LSN, so one that sees the dependent's commit sees this one's too.
 // early() never runs on a path that reports an error: a commit refused at
-// the append keeps its locks for the caller's rollback.
+// the append keeps its locks for the caller's rollback. A read-only
+// transaction (see Commit) runs early() at once and completes inline when
+// its read point is already durable.
 func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
 	if err := t.ensureActive(); err != nil {
 		done(err)
 		return
 	}
-	commitLSN, err := e.appendCommit(t)
+	lsn, err := e.commitPoint(t)
 	if err != nil {
 		e.noteLogError(err)
-		if errors.Is(err, wal.ErrDeviceFailed) && t.readOnly() {
-			// A read-only commit on a degraded engine succeeds without a
-			// durable record; there is nothing to wait for, so the early
-			// release collapses into the completion path.
-			if early != nil {
-				early()
-			}
-			e.finishCommit(t)
-			done(nil)
-			return
-		}
 		done(fmt.Errorf("engine: logging commit of txn %d: %w", t.id, err))
 		return
 	}
 	if early != nil {
 		early()
 	}
-	wait := e.log.FlushAsync(commitLSN)
+	wait := e.log.FlushAsync(lsn)
 	if wait == nil {
 		e.finishCommit(t)
 		done(nil)
@@ -320,7 +353,7 @@ func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
 	}
 	go func() {
 		<-wait
-		if err := e.commitDurable(commitLSN); err != nil {
+		if err := e.commitDurable(lsn); err != nil {
 			e.noteLogError(err)
 			done(fmt.Errorf("engine: commit of txn %d not durable: %w", t.id, err))
 			return
@@ -330,9 +363,10 @@ func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
 	}()
 }
 
-// finishCommit runs post-commit processing once the commit record is durable.
-// The versions were already stamped at the append (appendCommit); what is
-// left is to release the centralized locks and append the END record
+// finishCommit runs post-commit processing once the commit record (or a
+// read-only commit's read point) is durable. The versions were already
+// stamped at the append (appendCommit); what is left is to release the
+// centralized locks and, for a logged transaction, append the END record
 // (best-effort: recovery treats the commit record as authoritative).
 func (e *Engine) finishCommit(t *Txn) {
 	t.mu.Lock()
@@ -346,18 +380,25 @@ func (e *Engine) finishCommit(t *Txn) {
 		recycleRecord(r)
 	}
 	e.lm.ReleaseAll(t.lockID())
-	e.appendMarker(t, wal.RecEnd) //nolint:errcheck
+	if t.logged() {
+		e.appendMarker(t, wal.RecEnd) //nolint:errcheck
+	}
 }
 
 // Abort rolls the transaction back: every change is undone youngest-first with
-// compensation log records, then the transaction's locks are released.
+// compensation log records, then the transaction's locks are released. A
+// transaction that never wrote its BEGIN has nothing to undo and aborts
+// without an ABORT or END record.
 func (e *Engine) Abort(t *Txn) error {
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
 	// Rollback proceeds in memory even when the log is closed (the undo list
 	// is in hand); the compensation records below are then best-effort.
-	e.appendMarker(t, wal.RecAbort) //nolint:errcheck
+	logged := t.logged()
+	if logged {
+		e.appendMarker(t, wal.RecAbort) //nolint:errcheck
+	}
 
 	t.mu.Lock()
 	undo := t.undo
@@ -396,7 +437,9 @@ func (e *Engine) Abort(t *Txn) error {
 		p.tbl.versions.popTxn(p.rid, t.id)
 	}
 	e.lm.ReleaseAll(t.lockID())
-	e.appendMarker(t, wal.RecEnd) //nolint:errcheck
+	if logged {
+		e.appendMarker(t, wal.RecEnd) //nolint:errcheck
+	}
 	if col := e.Collector(); col != nil {
 		col.TxnAborted()
 	}

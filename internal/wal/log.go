@@ -124,6 +124,9 @@ const MaxRetryBackoff = 20 * time.Millisecond
 // tracking for checkpoint cuts) lives with the callers: the engine's Txn
 // carries its own chain, and the manager only tracks the BEGIN/END-delimited
 // active set under a dedicated small mutex, off the append path entirely.
+// The engine writes a transaction's BEGIN lazily, just before its first
+// change record, so read-only transactions never enter the active set (nor
+// the log: they append nothing and only wait for durability).
 //
 // The durability path is pluggable: the Device interface hides whether the
 // log lands in a byte slice (the paper's in-memory setup) or in checksummed,
@@ -147,7 +150,8 @@ type Manager struct {
 
 	// activeMu guards the BEGIN/END-delimited active-transaction set that
 	// fuzzy checkpoints cut against. Only transaction boundaries touch it —
-	// two small map operations per transaction, never one per record.
+	// two small map operations per logged transaction, never one per
+	// record. Read-only transactions write no BEGIN and never touch it.
 	activeMu sync.Mutex
 	// firstLSN records each live transaction's first log record, deleted at
 	// its END. A fuzzy checkpoint's replay horizon (lowLSN) is the minimum
@@ -179,10 +183,11 @@ type Manager struct {
 	syncs          atomic.Uint64
 	retries        atomic.Uint64 // device write/fsync attempts retried after a transient fault
 
-	// closed rejects appends once Close has begun; devClosed marks the device
-	// itself released (no further writes possible). devErr latches the first
-	// device failure so Close and Err can surface it.
-	closed     bool
+	// closed rejects appends once Close has begun (set under mu, read
+	// lock-free by Closed); devClosed marks the device itself released (no
+	// further writes possible). devErr latches the first device failure so
+	// Close and Err can surface it.
+	closed     atomic.Bool
 	devClosed  bool
 	devErr     error
 	recovering bool
@@ -317,7 +322,7 @@ func Open(opts Options) (*Manager, error) {
 func (m *Manager) Close() error {
 	m.closeOnce.Do(func() {
 		m.mu.Lock()
-		m.closed = true
+		m.closed.Store(true)
 		m.mu.Unlock()
 		close(m.quit)
 		<-m.exited
@@ -344,6 +349,11 @@ func (m *Manager) Close() error {
 	})
 	return m.closeErr
 }
+
+// Closed reports whether Close has begun, after which every Append is
+// refused with ErrClosed. It reads an atomic and never takes the manager
+// mutex, so callers can check it per transaction.
+func (m *Manager) Closed() bool { return m.closed.Load() }
 
 // Err returns the first device error the manager has observed, wrapped in the
 // ErrDeviceFailed sentinel (nil while the device is healthy).
@@ -434,7 +444,7 @@ func (m *Manager) append(r *Record) (LSN, error) {
 		t0 = time.Now()
 	}
 	m.mu.Lock()
-	if m.closed {
+	if m.closed.Load() {
 		m.mu.Unlock()
 		return NilLSN, ErrClosed
 	}
@@ -800,8 +810,11 @@ type FlushStats struct {
 	// Syncs is the number of fsyncs issued (once per flush under SyncOnFlush,
 	// on the background cadence under SyncInterval, zero under SyncNone).
 	Syncs uint64
-	// CommitsFlushed is the number of registered commit waiters made durable
+	// CommitsFlushed is the number of registered flush waiters made durable
 	// across all flushes; CommitsFlushed/Flushes is the average group size.
+	// Besides write commits waiting on their COMMIT record it counts
+	// read-only commits, which append nothing but wait for the log to be
+	// durable up to their read point.
 	CommitsFlushed uint64
 	// MaxCoalesced is the largest commit group a single flush made durable.
 	MaxCoalesced uint64

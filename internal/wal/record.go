@@ -26,7 +26,9 @@ type TxnID uint64
 type RecordType uint8
 
 const (
-	// RecBegin marks the start of a transaction.
+	// RecBegin marks the start of a transaction's log presence. The engine
+	// writes it just before the transaction's first change record, so
+	// read-only transactions have none.
 	RecBegin RecordType = iota
 	// RecCommit marks a committed transaction; the log must be forced up to
 	// and including this record before the commit is acknowledged.

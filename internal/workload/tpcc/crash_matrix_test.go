@@ -234,18 +234,7 @@ func TestCheckpointCommitBelowCutAppliedOnce(t *testing.T) {
 			commitLSN, endLSN, ck.CutLSN)
 	}
 
-	counts := func(e *engine.Engine) map[string]int {
-		snap := e.BeginSnapshot()
-		defer snap.Release()
-		out := make(map[string]int)
-		for _, name := range []string{"ORDERS", "NEW_ORDER", "ORDER_LINE"} {
-			if err := snap.ScanTable(name, func(storage.Tuple) bool { out[name]++; return true }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
-	want := counts(e)
+	want := orderCounts(t, e)
 	e.Log().FlushAll()
 	crashDir := snapshotDir(t, dir)
 
@@ -254,7 +243,105 @@ func TestCheckpointCommitBelowCutAppliedOnce(t *testing.T) {
 	if stats.CheckpointLSN != ck.CutLSN {
 		t.Fatalf("recovery started from cut %d, want the in-commit checkpoint's %d", stats.CheckpointLSN, ck.CutLSN)
 	}
-	if got := counts(e2); !maps.Equal(got, want) {
+	if got := orderCounts(t, e2); !maps.Equal(got, want) {
+		t.Fatalf("row counts after restart = %v, want %v", got, want)
+	}
+	if err := d2.Check(e2); err != nil {
+		t.Fatalf("§3.3.2 checker after restart: %v", err)
+	}
+}
+
+// orderCounts returns the row counts of the tables a NewOrder inserts into,
+// read through a snapshot.
+func orderCounts(t *testing.T, e *engine.Engine) map[string]int {
+	t.Helper()
+	snap := e.BeginSnapshot()
+	defer snap.Release()
+	out := make(map[string]int)
+	for _, name := range []string{"ORDERS", "NEW_ORDER", "ORDER_LINE"} {
+		if err := snap.ScanTable(name, func(storage.Tuple) bool { out[name]++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// A transaction's BEGIN is written just before its first change, not at
+// Begin. T1 reads before a checkpoint cut and writes after it, so all of its
+// records, BEGIN included, sit above the cut: it is not in the cut's active
+// set and replays from the log tail. T2 writes before the cut and commits
+// after it: it is in the active set and replays from its BEGIN below the
+// cut. Restart from that image must apply each NewOrder exactly once and
+// pass the §3.3.2 checker.
+func TestCheckpointLazyBeginAppliedOnce(t *testing.T) {
+	dir := t.TempDir()
+	d, e, _ := newCkptBacked(t, dir)
+	rng := rand.New(rand.NewSource(19))
+	runMix(t, d, e, rng, 50)
+	validNewOrder := func() newOrderInput {
+		for {
+			if in := d.genNewOrder(rng); !in.invalid {
+				return in
+			}
+		}
+	}
+
+	t1, in1 := e.Begin(), validNewOrder()
+	appends := e.Log().Appends()
+	if _, err := e.Probe(t1, "WAREHOUSE", ik(in1.wID), engine.Conventional()); err != nil {
+		t.Fatalf("T1 read: %v", err)
+	}
+	if got := e.Log().Appends(); got != appends {
+		t.Fatalf("T1's read appended %d log records, want none", got-appends)
+	}
+	t2 := e.Begin()
+	if err := d.newOrderConventional(e, t2, validNewOrder(), engine.Conventional()); err != nil {
+		t.Fatalf("T2 NewOrder: %v", err)
+	}
+	ck, err := e.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := e.Commit(t2); err != nil {
+		t.Fatalf("T2 commit: %v", err)
+	}
+	if err := d.newOrderConventional(e, t1, in1, engine.Conventional()); err != nil {
+		t.Fatalf("T1 NewOrder: %v", err)
+	}
+	if err := e.Commit(t1); err != nil {
+		t.Fatalf("T1 commit: %v", err)
+	}
+
+	recs, err := e.Log().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(map[wal.TxnID]*wal.Record)
+	for _, r := range recs {
+		if _, ok := first[r.Txn]; !ok {
+			first[r.Txn] = r
+		}
+	}
+	b1, b2 := first[wal.TxnID(t1.ID())], first[wal.TxnID(t2.ID())]
+	if b1 == nil || b1.Type != wal.RecBegin || b1.LSN < ck.CutLSN {
+		t.Fatalf("T1's first record %+v, want a BEGIN at or above the cut %d", b1, ck.CutLSN)
+	}
+	if b2 == nil || b2.Type != wal.RecBegin || b2.LSN >= ck.CutLSN {
+		t.Fatalf("T2's first record %+v, want a BEGIN below the cut %d", b2, ck.CutLSN)
+	}
+	if err := d.Check(e); err != nil {
+		t.Fatalf("§3.3.2 checker before the crash: %v", err)
+	}
+
+	want := orderCounts(t, e)
+	e.Log().FlushAll()
+	crashDir := snapshotDir(t, dir)
+	d2, e2, stats := newCkptBacked(t, crashDir)
+	defer e2.Close()
+	if stats.CheckpointLSN != ck.CutLSN {
+		t.Fatalf("recovery started from cut %d, want %d", stats.CheckpointLSN, ck.CutLSN)
+	}
+	if got := orderCounts(t, e2); !maps.Equal(got, want) {
 		t.Fatalf("row counts after restart = %v, want %v", got, want)
 	}
 	if err := d2.Check(e2); err != nil {
